@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 consistent / entailed, 1 inconsistent / not entailed,
-2 usage or parse error, 3 resource budget exhausted.
+2 usage, input or parse error, 3 resource budget exhausted.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ from .parser import ParseError, parse_concept, parse_kb, parse_query
 from .semantics import interpretation_to_json
 
 
+def budget(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="alcm",
@@ -42,25 +49,25 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the and-or graph expansion trace")
     check.add_argument("--stats", action="store_true",
                        help="print graph statistics")
-    check.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    check.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET,
                        metavar="N", help="node budget (default %(default)s)")
 
     ent = sub.add_parser("entails", help="decide an entailment query")
     ent.add_argument("file")
     ent.add_argument("query",
                      help="'C sub D', 'C(a)', 'a = b', 'a != b' or 'a =m A'")
-    ent.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N")
+    ent.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET, metavar="N")
 
     meta = sub.add_parser("meta", help="decide whether a =m A is entailed")
     meta.add_argument("file")
     meta.add_argument("individual")
     meta.add_argument("concept_name")
-    meta.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N")
+    meta.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET, metavar="N")
 
     mc = sub.add_parser("metaconcept", help="decide whether C is a meta-concept")
     mc.add_argument("file")
     mc.add_argument("concept")
-    mc.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N")
+    mc.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET, metavar="N")
     return p
 
 
@@ -95,8 +102,9 @@ def _run_check(args) -> int:
             print("no model: KB is inconsistent", file=sys.stderr)
     if args.stats and verdict.graph is not None:
         g = verdict.graph
-        counts = {k: g.kinds.count(k) for k in ("and", "or", "end", "bot")}
-        print(f"nodes: {len(g.labels)}")
+        counts = {k: g.kinds.count(k) for k in ("and", "or", "end", "bot", "open")}
+        expanded = counts["and"] + counts["or"] + counts["end"]
+        print(f"nodes: {len(g.labels)} built, {expanded} expanded")
         print(f"edges: {sum(len(e) for e in g.edges)}")
         print("kinds: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return 0 if verdict.consistent else 1
@@ -147,8 +155,14 @@ def main(argv=None) -> int:
     except UnknownNameError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: {e.filename}: no such file", file=sys.stderr)
+    except OSError as e:
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"error: {args.file}: not UTF-8 text (byte {e.start})", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)

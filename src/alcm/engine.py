@@ -372,11 +372,14 @@ def applicable_rule(j) -> Optional[RuleApplication]:
 class AndOrGraph:
     nodes: Dict[object, int] = field(default_factory=dict)
     labels: List[object] = field(default_factory=list)
-    kinds: List[str] = field(default_factory=list)  # "and" | "or" | "end" | "bot"
+    # "and" | "or" | "end" (expanded, no rule applies) | "bot" | "open" (never expanded)
+    kinds: List[str] = field(default_factory=list)
     edges: List[List[Tuple[int, object]]] = field(default_factory=list)
     rules: List[Optional[RuleApplication]] = field(default_factory=list)
     root: int = 0
     initial_merges: Dict[str, str] = field(default_factory=dict)
+    # Nodes known unsat, each mapped to its rank in the order they were found.
+    unsat: Dict[int, int] = field(default_factory=dict)
 
     def add(self, label) -> int:
         nid = self.nodes.get(label)
@@ -384,7 +387,7 @@ class AndOrGraph:
             nid = len(self.labels)
             self.nodes[label] = nid
             self.labels.append(label)
-            self.kinds.append("bot" if label is ABSURDITY else "end")
+            self.kinds.append("bot" if label is ABSURDITY else "open")
             self.edges.append([])
             self.rules.append(None)
         return nid
@@ -445,18 +448,47 @@ def initialize_root(kb: KnowledgeBase):
 
 
 def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> AndOrGraph:
-    """Expand the and-or graph to fixpoint under the global cache."""
+    """Grow the and-or graph on demand until the root's status is known.
+
+    Only the candidate marking is expanded: the walk of `consistent_marking`
+    from the root, which takes the least child not known unsat at an
+    or-node and every child of an and-node.  Each round expands, least id
+    first, the unexpanded nodes that walk reaches, and unsat status is
+    propagated to parents as soon as it changes: absurdity is unsat, an
+    and-node with one unsat child is, and so is an or-node whose children
+    all are.  Unexpanded nodes are never unsat, so every unsat fact here
+    also holds on the fully expanded graph.
+
+    Construction stops when the root is unsat (the KB is inconsistent) or
+    when the walk reaches no unexpanded node (the KB is consistent: that
+    closed marking avoids the least unsat fixpoint of the full graph).
+    Nodes never expanded keep kind "open"; ``g.unsat`` holds the propagated
+    set in the order it grew.  The node budget counts the nodes built.
+    """
     root, merges = initialize_root(kb)
     g = AndOrGraph(initial_merges=merges)
     g.root = g.add(root)
-    queue = deque([g.root])
-    while queue:
-        v = queue.popleft()
-        label = g.labels[v]
-        ra = applicable_rule(label)
+    unsat = g.unsat
+    parents: List[List[int]] = [[]]
+
+    def dead(v):
+        quantifier = all if g.kinds[v] == "or" else any
+        return quantifier(c in unsat for c in g.children(v))
+
+    def refute(v):
+        unsat[v] = len(unsat)
+        queue = deque([v])
+        while queue:
+            for p in parents[queue.popleft()]:
+                if p not in unsat and dead(p):
+                    unsat[p] = len(unsat)
+                    queue.append(p)
+
+    def expand(v):
+        ra = applicable_rule(g.labels[v])
         if ra is None:
             g.kinds[v] = "end"
-            continue
+            return
         g.rules[v] = ra
         g.kinds[v] = "and" if ra.connective == "and" else "or"
         transitional = ra.rule in ("trans", "trans'")
@@ -467,8 +499,9 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
                 if len(g.labels) > node_budget:
                     raise BudgetExceededError(
                         f"node budget ({node_budget}) exhausted")
-                if concl is not ABSURDITY:
-                    queue.append(cid)
+                parents.append([])
+                if concl is ABSURDITY:
+                    unsat[cid] = len(unsat)
             if transitional:
                 p = ra.principal[idx]
                 if isinstance(p, ConceptAssertion):
@@ -478,6 +511,21 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             else:
                 edge_label = None
             g.edges[v].append((cid, edge_label))
+        for c in g.children(v):
+            parents[c].append(v)
+        if dead(v):
+            refute(v)
+
+    while g.root not in unsat:
+        frontier = sorted(v for v in consistent_marking(g, unsat).nodes
+                          if g.kinds[v] == "open")
+        if not frontier:
+            break
+        before = len(unsat)
+        for v in frontier:
+            expand(v)
+            if len(unsat) != before:
+                break  # the walk may now take other children: walk again
     return g
 
 
@@ -486,7 +534,12 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
 # --------------------------------------------------------------------------
 
 def _unsat_with_order(g: AndOrGraph):
-    """Least fixpoint of unsat propagation, plus the order nodes entered it."""
+    """Least fixpoint of unsat propagation, plus the order nodes entered it.
+
+    Recomputed from the edges alone: `build_graph` keeps the same set up to
+    date in ``g.unsat`` as it grows the graph, and this is the reference
+    that checks it.
+    """
     parents: List[set] = [set() for _ in g.labels]
     for u in range(len(g.labels)):
         for c in g.children(u):
@@ -631,10 +684,9 @@ class Inconsistent:
 def check_consistency(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET):
     """Decide KB consistency; consistent verdicts carry a marking."""
     g = build_graph(kb, node_budget)
-    unsat, entry = _unsat_with_order(g)
-    if g.root not in unsat:
-        return Consistent(graph=g, marking=consistent_marking(g, unsat))
-    trace, cert = _refutation_trace(g, unsat, entry)
+    if g.root not in g.unsat:
+        return Consistent(graph=g, marking=consistent_marking(g, g.unsat))
+    trace, cert = _refutation_trace(g, g.unsat, g.unsat)
     return Inconsistent(graph=g, trace=trace, certificate=cert)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable
 
 # Concept variant tags, in sort-key order.
 TOP, BOT, ATOM, NOT, AND, OR, EXISTS, FORALL = range(8)
@@ -196,9 +196,6 @@ class Equivalence:
     rhs: Concept
 
 
-TboxAxiom = Union[Subsumption, Equivalence]
-
-
 @dataclass(frozen=True)
 class ConceptAssertion:
     concept: Concept
@@ -236,20 +233,17 @@ def not_equal(a: str, b: str) -> NotEqual:
     return NotEqual(a, b) if a <= b else NotEqual(b, a)
 
 
-AboxAssertion = Union[ConceptAssertion, RoleAssertion, Equal, NotEqual]
-
-
 @dataclass(frozen=True, order=True)
 class MboxAxiom:
     individual: str
     concept_name: str  # always an atomic concept name
 
 
-def tbox_axiom_key(ax: TboxAxiom):
+def tbox_axiom_key(ax: Subsumption | Equivalence):
     return (0 if isinstance(ax, Subsumption) else 1, ax.lhs.key, ax.rhs.key)
 
 
-def assertion_key(a: AboxAssertion):
+def assertion_key(a: ConceptAssertion | RoleAssertion | Equal | NotEqual):
     if isinstance(a, ConceptAssertion):
         return (0, a.concept.key, a.individual)
     if isinstance(a, RoleAssertion):
@@ -259,7 +253,7 @@ def assertion_key(a: AboxAssertion):
     return (3, a.left, a.right)
 
 
-def assertion_individuals(a: AboxAssertion) -> tuple:
+def assertion_individuals(a: ConceptAssertion | RoleAssertion | Equal | NotEqual) -> tuple:
     if isinstance(a, ConceptAssertion):
         return (a.individual,)
     if isinstance(a, RoleAssertion):
@@ -267,7 +261,8 @@ def assertion_individuals(a: AboxAssertion) -> tuple:
     return (a.left, a.right)
 
 
-def abox_individuals(abox: Iterable[AboxAssertion]) -> set:
+def abox_individuals(
+        abox: Iterable[ConceptAssertion | RoleAssertion | Equal | NotEqual]) -> set:
     out = set()
     for a in abox:
         out.update(assertion_individuals(a))
@@ -301,7 +296,7 @@ class KnowledgeBase:
         return {m.concept_name for m in self.mbox}
 
 
-def nnf_tbox(tbox: Iterable[TboxAxiom]) -> frozenset:
+def nnf_tbox(tbox: Iterable[Subsumption | Equivalence]) -> frozenset:
     """Compile Tbox axioms to NNF concepts, each read as 'holds everywhere'.
 
     An equivalence contributes both subsumption directions.
@@ -314,7 +309,7 @@ def nnf_tbox(tbox: Iterable[TboxAxiom]) -> frozenset:
     return frozenset(out)
 
 
-def nnf_abox(abox: Iterable[AboxAssertion]) -> frozenset:
+def nnf_abox(abox: Iterable[ConceptAssertion | RoleAssertion | Equal | NotEqual]) -> frozenset:
     out = set()
     for a in abox:
         if isinstance(a, ConceptAssertion):
@@ -324,7 +319,8 @@ def nnf_abox(abox: Iterable[AboxAssertion]) -> frozenset:
     return frozenset(out)
 
 
-def substitute_abox(abox: Iterable[AboxAssertion], keep: str, drop: str) -> frozenset:
+def substitute_abox(abox: Iterable[ConceptAssertion | RoleAssertion | Equal | NotEqual],
+                    keep: str, drop: str) -> frozenset:
     """Replace every occurrence of `drop` by `keep`; result is deduplicated."""
     def s(n):
         return keep if n == drop else n
@@ -383,7 +379,7 @@ def _cs(c: Concept, min_level: int) -> str:
     return s
 
 
-def assertion_to_str(a: AboxAssertion) -> str:
+def assertion_to_str(a: ConceptAssertion | RoleAssertion | Equal | NotEqual) -> str:
     if isinstance(a, ConceptAssertion):
         return f"{concept_to_str(a.concept)}({a.individual})"
     if isinstance(a, RoleAssertion):
@@ -393,7 +389,7 @@ def assertion_to_str(a: AboxAssertion) -> str:
     return f"{a.left} != {a.right}"
 
 
-def tbox_axiom_to_str(ax: TboxAxiom) -> str:
+def tbox_axiom_to_str(ax: Subsumption | Equivalence) -> str:
     word = "subclassof" if isinstance(ax, Subsumption) else "equiv"
     return f"{concept_to_str(ax.lhs)} {word} {concept_to_str(ax.rhs)}"
 

@@ -49,6 +49,37 @@ class TestCheck:
     def test_budget_exhaustion(self, hydro_file):
         assert main(["check", hydro_file, "--budget", "5"]) == 3
 
+    # Input errors are usage errors (2), never "inconsistent" (1).
+    def test_non_utf8_file(self, tmp_path, capsys):
+        p = tmp_path / "latin1.alcm"
+        p.write_bytes(b"abox { A(a); }\xff\n")
+        assert main(["check", str(p)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_directory_path(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        p = tmp_path / "deep.alcm"
+        p.write_text("abox { " + "(" * 1300 + "A" + ")" * 1300 + "(a); }")
+        assert main(["check", str(p)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_budget_below_one_is_a_usage_error(self, hydro_file):
+        assert main(["check", hydro_file, "--budget", "-1"]) == 2
+        assert main(["check", hydro_file, "--budget", "0"]) == 2
+        assert main(["entails", hydro_file, "River(river)", "--budget", "0"]) == 2
+
+    def test_stats_count_built_and_expanded_nodes(self, tmp_path, capsys):
+        p = tmp_path / "or.alcm"
+        p.write_text("abox { (A or B)(a); }")
+        assert main(["check", str(p), "--stats"]) == 0
+        out = capsys.readouterr().out
+        # the left disjunct closes the marking; the right is built, not expanded
+        assert "nodes: 3 built, 2 expanded" in out
+        assert "open=1" in out
+
     def test_oracle_flag(self, hydro_file, circular_file, capsys):
         assert main(["check", hydro_file, "--oracle"]) == 0
         assert main(["check", circular_file, "--oracle"]) == 1

@@ -12,6 +12,7 @@ from alcm.engine import (
     build_graph,
     check_consistency,
     circular,
+    consistent_marking,
     format_trace,
     initialize_root,
     make_base,
@@ -160,8 +161,13 @@ class TestBuildGraph:
         g = build_graph(example_graph_kb)
         ra = g.rules[g.root]
         assert ra.rule == "close" and ra.principal == ("a", "b")
-        # frozen from a hand-checked trace dump of this construction
-        assert len(g.labels) == 34
+        # frozen from a hand-checked trace dump of this construction: the
+        # merge branch dies on d's R-successor (A and not B once A = B), the
+        # separated branch closes through the neq witness, and two nodes
+        # (a sibling variable judgement and the witness's right disjunct)
+        # are built but never expanded
+        assert len(g.labels) == 31
+        assert g.kinds.count("open") == 2
 
     def test_empty_kb_is_a_single_end_node(self):
         g = build_graph(parse_kb(""))
@@ -177,6 +183,21 @@ class TestBuildGraph:
     def test_budget_exhaustion_is_an_error_not_a_verdict(self, hydro_kb):
         with pytest.raises(BudgetExceededError):
             build_graph(hydro_kb, node_budget=10)
+
+    def test_satisfiable_left_disjunct_leaves_the_right_unexpanded(self):
+        g = build_graph(parse_kb("abox { (A or B)(a); }"))
+        left, right = g.children(g.root)
+        assert g.kinds[left] == "end"
+        assert g.kinds[right] == "open"
+        assert g.rules[right] is None and g.edges[right] == []
+
+    def test_construction_stops_once_the_root_is_decided(self):
+        # this corpus KB took 38,312 nodes when the graph was expanded to
+        # fixpoint before deciding; its consistent marking has 30
+        kb = corpus(seed=20240, size=138)[137]
+        v = check_consistency(kb)
+        assert v.consistent
+        assert len(v.graph.labels) <= 100
 
 
 class TestUnsatNodes:
@@ -279,6 +300,19 @@ class TestGraphHygiene:
                 labelled = ra.rule in ("trans", "trans'")
                 for (_, lbl) in g.edges[u]:
                     assert (lbl is not None) == labelled
+
+    def test_partial_graph_invariants(self, sample):
+        verdicts = set()
+        for g in sample:
+            assert unsat_nodes(g) == set(g.unsat)
+            for v in g.unsat:
+                assert g.kinds[v] in ("and", "or", "bot")
+            consistent = g.root not in g.unsat
+            verdicts.add(consistent)
+            if consistent:
+                for v in consistent_marking(g, g.unsat).nodes:
+                    assert g.kinds[v] in ("and", "or", "end")
+        assert verdicts == {True, False}
 
     def test_rebuilding_gives_identical_traces(self):
         for kb in corpus(seed=3, size=30):

@@ -1,5 +1,9 @@
 """Concept term language: interning, NNF, subconcepts, substitution."""
 
+import gc
+import importlib
+import sys
+
 from hypothesis import given, strategies as st
 
 from alcm import syntax
@@ -177,3 +181,28 @@ class TestRecordEquality:
     def test_pairs_are_canonicalized(self):
         assert equal("b", "a") == Equal("a", "b")
         assert not_equal("b", "a") == NotEqual("a", "b")
+
+
+def _alcm_module_names():
+    return [k for k in sys.modules if k == "alcm" or k.startswith("alcm.")]
+
+
+def test_reimported_copies_of_alcm_are_collected():
+    # Nothing at module level may hand a reference to a module's own classes
+    # to a process-wide cache (typing caches every Union[...] it builds), or
+    # each fresh import pins the old copy and its intern tables for good.
+    in_use = {k: sys.modules[k] for k in _alcm_module_names()}
+    try:
+        for _ in range(20):
+            for name in _alcm_module_names():
+                del sys.modules[name]
+            importlib.import_module("alcm")
+    finally:
+        for name in _alcm_module_names():
+            del sys.modules[name]
+        sys.modules.update(in_use)
+    gc.collect()
+    stale = [o for o in gc.get_objects()
+             if isinstance(o, type) and o.__name__ == "Concept"
+             and o.__module__ == "alcm.syntax" and o is not syntax.Concept]
+    assert stale == []
