@@ -10,7 +10,7 @@ import json
 from alcm.engine import check_consistency
 from alcm.extraction import extract_model
 from alcm.parser import parse_kb, print_kb
-from alcm.semantics import interpretation_to_json, rank, satisfies_kb
+from alcm.semantics import interpretation_to_json, satisfies_kb
 
 KB_TEXT = """
 # Lower level: rivers and lakes as concepts with member individuals.
@@ -43,7 +43,7 @@ def main():
     print("\nriver  ->", model.individuals["river"])
     print("lake   ->", model.individuals["lake"])
     print("queguay ->", model.individuals["queguay"])
-    print("max nesting depth:", max(rank(e) for e in model.domain),
+    print("max nesting depth:", max(e.rank for e in model.domain),
           "(never exceeds the number of mbox axioms)")
 
     print("\nmodel as JSON:")

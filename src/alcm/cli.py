@@ -76,8 +76,7 @@ def _load_kb(path: str):
         return parse_kb(fh.read(), origin=path)
 
 
-def _run_check(args) -> int:
-    kb = _load_kb(args.file)
+def _run_check(args, kb) -> int:
     if args.oracle:
         if args.model or args.trace:
             print("error: --model/--trace need the and-or graph engine",
@@ -110,8 +109,7 @@ def _run_check(args) -> int:
     return 0 if verdict.consistent else 1
 
 
-def _run_entails(args) -> int:
-    kb = _load_kb(args.file)
+def _run_entails(args, kb) -> int:
     q = parse_query(args.query)
     if q[0] == "sub":
         answer = entails_subsumption(kb, q[1], q[2], args.budget)
@@ -133,24 +131,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # Once the KB file has parsed, a parse error can only come from the
+    # query or concept argument.
+    source = args.file
     try:
+        kb = _load_kb(args.file)
+        source = "query"
         if args.command == "check":
-            return _run_check(args)
+            return _run_check(args, kb)
         if args.command == "entails":
-            return _run_entails(args)
+            return _run_entails(args, kb)
         if args.command == "meta":
-            kb = _load_kb(args.file)
             answer = entails_metamodelling(kb, args.individual,
                                            args.concept_name, args.budget)
             print("entailed" if answer else "not entailed")
             return 0 if answer else 1
-        kb = _load_kb(args.file)
         answer = is_meta_concept(kb, parse_concept(args.concept), args.budget)
         print("meta-concept" if answer else "not a meta-concept")
         return 0 if answer else 1
     except ParseError as e:
-        print(f"error: {args.file if hasattr(args, 'file') else ''}:{e}",
-              file=sys.stderr)
+        print(f"error: {source}:{e}", file=sys.stderr)
         return 2
     except UnknownNameError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,7 +23,6 @@ from .syntax import (
     ConceptAssertion,
     Equal,
     KnowledgeBase,
-    MboxAxiom,
     NotEqual,
     RoleAssertion,
     abox_individuals,
@@ -37,8 +36,8 @@ from .syntax import (
     nnf_abox,
     nnf_tbox,
     not_equal,
-    substitute_abox,
-    substitute_mbox,
+    rename_abox,
+    rename_mbox,
 )
 
 DEFAULT_NODE_BUDGET = 2 ** 20
@@ -124,24 +123,10 @@ def _canonical_fresh(abox: set) -> set:
     Fresh individuals only ever occur in concept assertions, so the multiset
     of concepts asserted about one is a complete signature for it.
     """
-    found = set()
-    for a in abox:
-        if type(a) is ConceptAssertion:
-            if a.individual.startswith(FRESH_PREFIX):
-                found.add(a.individual)
-        elif type(a) is RoleAssertion:
-            if a.subject.startswith(FRESH_PREFIX):
-                found.add(a.subject)
-            if a.object.startswith(FRESH_PREFIX):
-                found.add(a.object)
-        else:
-            if a.left.startswith(FRESH_PREFIX):
-                found.add(a.left)
-            if a.right.startswith(FRESH_PREFIX):
-                found.add(a.right)
-    if not found:
+    fresh = sorted({a.individual for a in abox if type(a) is ConceptAssertion
+                    and a.individual.startswith(FRESH_PREFIX)})
+    if not fresh:
         return abox
-    fresh = sorted(found)
     sig = {f: tuple(sorted(a.concept.key for a in abox
                            if isinstance(a, ConceptAssertion) and a.individual == f))
            for f in fresh}
@@ -149,19 +134,7 @@ def _canonical_fresh(abox: set) -> set:
     ren = {f: f"{FRESH_PREFIX}{i}" for i, f in enumerate(order)}
     if all(k == v for k, v in ren.items()):
         return abox
-
-    def s(n):
-        return ren.get(n, n)
-
-    out = set()
-    for a in abox:
-        if isinstance(a, ConceptAssertion):
-            out.add(ConceptAssertion(a.concept, s(a.individual)))
-        elif isinstance(a, RoleAssertion):
-            out.add(RoleAssertion(a.role, s(a.subject), s(a.object)))
-        else:
-            out.add(not_equal(s(a.left), s(a.right)))
-    return out
+    return rename_abox(abox, ren)
 
 
 @dataclass(frozen=True)
@@ -227,7 +200,9 @@ def _variable_rule(j: VariableJudgement) -> Optional[RuleApplication]:
     return None
 
 
-def _difference_witness(a_name: str, b_name: str) -> Concept:
+def difference_witness(a_name: str, b_name: str) -> Concept:
+    """The one concept the neq rule asserts to make A and B differ:
+    ``(A and not B) or (not A and B)``, in the order the names are given."""
     A, B = atom(a_name), atom(b_name)
     return disj(conj(A, neg(B)), conj(neg(A), B))
 
@@ -306,7 +281,7 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
     for a in neqs:
         if a.left in concept_of and a.right in concept_of:
             An, Bn = concept_of[a.left], concept_of[a.right]
-            w = _difference_witness(An, Bn)
+            w = difference_witness(An, Bn)
             if not any(w in cs for cs in by_ind.values()):
                 nfresh = sum(1 for n in individuals if n.startswith(FRESH_PREFIX))
                 d0 = f"{FRESH_PREFIX}{nfresh}"
@@ -329,8 +304,8 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
         for i, a in enumerate(srt):
             for b in srt[i + 1:]:
                 if (a, b) not in neq_pairs:
-                    merged = make_base(T, substitute_abox(A, a, b),
-                                       substitute_mbox(M, a, b))
+                    merged = make_base(T, rename_abox(A, {b: a}),
+                                       rename_mbox(M, {b: a}))
                     separated = make_base(T, set(A) | {not_equal(a, b)}, M)
                     return RuleApplication("close", "or", (a, b), j,
                                            (merged, separated))
@@ -427,18 +402,8 @@ def initialize_root(kb: KnowledgeBase):
             parent[drop] = keep
 
     rep = {n: find(n) for n in names}
-
-    merged = set()
-    for a in abox_n:
-        if isinstance(a, Equal):
-            continue
-        if isinstance(a, ConceptAssertion):
-            merged.add(ConceptAssertion(a.concept, rep[a.individual]))
-        elif isinstance(a, RoleAssertion):
-            merged.add(RoleAssertion(a.role, rep[a.subject], rep[a.object]))
-        else:
-            merged.add(not_equal(rep[a.left], rep[a.right]))
-    mbox = frozenset(MboxAxiom(rep[m.individual], m.concept_name) for m in kb.mbox)
+    merged = rename_abox((a for a in abox_n if not isinstance(a, Equal)), rep)
+    mbox = rename_mbox(kb.mbox, rep)
 
     # Every original individual's representative gets the Tbox, including
     # individuals that occurred only in (now merged-away) equalities.
@@ -517,7 +482,7 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             refute(v)
 
     while g.root not in unsat:
-        frontier = sorted(v for v in consistent_marking(g, unsat).nodes
+        frontier = sorted(v for v in consistent_marking(g).nodes
                           if g.kinds[v] == "open")
         if not frontier:
             break
@@ -576,15 +541,16 @@ class Marking:
     choice: Dict[int, int]
 
 
-def consistent_marking(g: AndOrGraph, unsat: set) -> Marking:
+def consistent_marking(g: AndOrGraph) -> Marking:
     """The marking reached from the root, taking at each or-node the least
-    child id that is not unsat.
+    child id that is not in ``g.unsat``.
 
     At a ``close`` node this is usually the merge branch: its conclusion is
     added to the graph before the separated one, so it gets the lower id
     unless the separated judgement was already cached.  Any surviving child
     would give a legal marking; this preference only fixes which one.
     """
+    unsat = g.unsat
     nodes, choice = set(), {}
     stack = [g.root]
     while stack:
@@ -628,7 +594,7 @@ def _certificate(ra: RuleApplication) -> Certificate:
 _BOTTOM_PREFERENCE = {"bot3": 0, "bot2": 1, "bot1": 2, "bot": 3}
 
 
-def _refutation_trace(g: AndOrGraph, unsat: set, entry: Dict[int, int]):
+def _refutation_trace(g: AndOrGraph):
     """Deterministic root-to-absurdity walk through the unsat subgraph.
 
     At an or-node every child is unsatisfiable; the walk defers children
@@ -656,7 +622,7 @@ def _refutation_trace(g: AndOrGraph, unsat: set, entry: Dict[int, int]):
             else:
                 v = min(kids, key=lambda c: (_BOTTOM_PREFERENCE[g.rules[c].rule], c))
         else:  # and-node: follow the child that was refuted first
-            v = min((c for c in kids if c in unsat), key=lambda c: entry[c])
+            v = min((c for c in kids if c in g.unsat), key=lambda c: g.unsat[c])
     return trace, _certificate(last)
 
 
@@ -685,8 +651,8 @@ def check_consistency(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET)
     """Decide KB consistency; consistent verdicts carry a marking."""
     g = build_graph(kb, node_budget)
     if g.root not in g.unsat:
-        return Consistent(graph=g, marking=consistent_marking(g, g.unsat))
-    trace, cert = _refutation_trace(g, g.unsat, g.unsat)
+        return Consistent(graph=g, marking=consistent_marking(g))
+    trace, cert = _refutation_trace(g)
     return Inconsistent(graph=g, trace=trace, certificate=cert)
 
 

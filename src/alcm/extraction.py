@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import syntax
-from .digraph import find_cycle
 from .engine import (
     AndOrGraph,
     BaseJudgement,
     Marking,
     check_consistency,
+    circular,
+    difference_witness,
     DEFAULT_NODE_BUDGET,
 )
 from .semantics import Interpretation, el_atom, el_set
@@ -113,29 +114,9 @@ def build_rgraph(g: AndOrGraph, marking: Marking):
 # Saturation conditions
 # --------------------------------------------------------------------------
 
-class Violation(tuple):
-    def __new__(cls, condition: str, witness: str):
-        return tuple.__new__(cls, (condition, witness))
-
-    @property
-    def condition(self):
-        return self[0]
-
-    @property
-    def witness(self):
-        return self[1]
-
-
-def _mirror_witnesses(a_name: str, b_name: str):
-    """Both orientations of the concept asserting that A and B differ."""
-    from .syntax import atom, conj, disj, neg
-    A, B = atom(a_name), atom(b_name)
-    return (
-        disj(conj(A, neg(B)), conj(neg(A), B)),
-        disj(conj(B, neg(A)), conj(neg(B), A)),
-        disj(conj(A, neg(B)), conj(B, neg(A))),
-        disj(conj(B, neg(A)), conj(A, neg(B))),
-    )
+class Violation(NamedTuple):
+    condition: str
+    witness: str
 
 
 def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
@@ -191,7 +172,8 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
     for a in mdom:
         if a not in in_delta:
             out.append(Violation("mbox-domain", a))
-    cyc = _rgraph_circularity(rg, mbox)
+    cyc = circular([ConceptAssertion(c, a) for a in mdom for c in labels.get(a, ())],
+                   mbox)
     if cyc is not None:
         out.append(Violation("mbox-circularity", " -> ".join(cyc)))
     concept_of: Dict[str, str] = {}
@@ -204,25 +186,10 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
             An, Bn = concept_of.get(a), concept_of.get(b)
             if An is None or Bn is None:
                 continue
-            both = _mirror_witnesses(An, Bn)
-            if not any(w in labels[t] for t in delta if t in labels for w in both):
+            w = difference_witness(An, Bn)
+            if not any(w in labels[t] for t in delta if t in labels):
                 out.append(Violation("mbox-difference-witness", f"{a} vs {b}"))
     return out
-
-
-def _rgraph_circularity(rg: RGraph, mbox) -> Optional[List[str]]:
-    from .syntax import atom
-    by_concept: Dict[str, List[str]] = {}
-    for m in mbox:
-        by_concept.setdefault(m.concept_name, []).append(m.individual)
-    mdom = {m.individual for m in mbox}
-    succ = {a: set() for a in mdom}
-    for a in mdom:
-        for c in rg.labels.get(a, frozenset()):
-            if c.tag == syntax.ATOM:
-                for b in by_concept.get(c.name, ()):
-                    succ[a].add(b)
-    return find_cycle(mdom, succ)
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +242,8 @@ def unfold_sets(rg: RGraph, mbox) -> Interpretation:
         if m.individual in concept_of and concept_of[m.individual] != m.concept_name:
             raise ValueError(f"{m.individual} is meta-modelled twice")
         concept_of.setdefault(m.individual, m.concept_name)
-    cyc = _rgraph_circularity(rg, mbox)
+    cyc = circular([ConceptAssertion(c, x) for x in concept_of
+                    for c in rg.labels.get(x, ())], mbox)
     if cyc is not None:
         raise ValueError("meta-modelling circularity: " + " -> ".join(cyc))
 

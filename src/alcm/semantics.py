@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from . import syntax
-from .digraph import is_acyclic
 from .syntax import (
     Concept,
     ConceptAssertion,
@@ -29,7 +28,11 @@ E_ATOM, E_SET = 0, 1
 
 
 class Element:
-    """A nested-set domain element.  Use el_atom / el_set."""
+    """A nested-set domain element.  Use el_atom / el_set.
+
+    ``rank`` is the least n such that the element lives in the n-th
+    powerset stage over its atoms.
+    """
 
     __slots__ = ("tag", "atom_id", "members", "key", "rank")
 
@@ -74,16 +77,6 @@ def el_set(members: Iterable[Element]) -> Element:
         with _el_lock:
             e = _sets.setdefault(ms, made)
     return e
-
-
-def rank(e: Element) -> int:
-    """Least n such that e lives in the n-th powerset stage over its atoms."""
-    return e.rank
-
-
-def is_well_founded_relation(nodes, edges) -> bool:
-    """On finite carriers, well-founded means exactly: no directed cycle."""
-    return is_acyclic(nodes, edges)
 
 
 @dataclass

@@ -319,28 +319,33 @@ def nnf_abox(abox: Iterable[ConceptAssertion | RoleAssertion | Equal | NotEqual]
     return frozenset(out)
 
 
-def substitute_abox(abox: Iterable[ConceptAssertion | RoleAssertion | Equal | NotEqual],
-                    keep: str, drop: str) -> frozenset:
-    """Replace every occurrence of `drop` by `keep`; result is deduplicated."""
-    def s(n):
-        return keep if n == drop else n
+def rename_abox(abox: Iterable[ConceptAssertion | RoleAssertion | Equal | NotEqual],
+                ren: dict) -> set:
+    """Replace every individual n by ``ren.get(n, n)``; result is deduplicated.
 
+    (In)equality pairs are re-sorted, and a renaming may collapse one to
+    ``a != a``.  Dispatch is on the exact class: this runs for every label
+    the engine builds.
+    """
+    get = ren.get
     out = set()
     for a in abox:
-        if isinstance(a, ConceptAssertion):
-            out.add(ConceptAssertion(a.concept, s(a.individual)))
-        elif isinstance(a, RoleAssertion):
-            out.add(RoleAssertion(a.role, s(a.subject), s(a.object)))
-        elif isinstance(a, Equal):
-            out.add(equal(s(a.left), s(a.right)))
+        t = type(a)
+        if t is ConceptAssertion:
+            out.add(ConceptAssertion(a.concept, get(a.individual, a.individual)))
+        elif t is RoleAssertion:
+            out.add(RoleAssertion(a.role, get(a.subject, a.subject),
+                                  get(a.object, a.object)))
+        elif t is Equal:
+            out.add(equal(get(a.left, a.left), get(a.right, a.right)))
         else:
-            out.add(not_equal(s(a.left), s(a.right)))
-    return frozenset(out)
+            out.add(not_equal(get(a.left, a.left), get(a.right, a.right)))
+    return out
 
 
-def substitute_mbox(mbox: Iterable[MboxAxiom], keep: str, drop: str) -> frozenset:
-    return frozenset(MboxAxiom(keep if m.individual == drop else m.individual,
-                               m.concept_name)
+def rename_mbox(mbox: Iterable[MboxAxiom], ren: dict) -> frozenset:
+    """Replace every individual n by ``ren.get(n, n)``."""
+    return frozenset(MboxAxiom(ren.get(m.individual, m.individual), m.concept_name)
                      for m in mbox)
 
 

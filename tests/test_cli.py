@@ -133,6 +133,15 @@ class TestQueries:
         assert main(["metaconcept", hydro_file, "HydrographicObject"]) == 0
         assert main(["metaconcept", hydro_file, "River"]) == 1
 
+    # A malformed query names the query, not the KB file that parsed fine.
+    def test_query_parse_error_names_the_query(self, hydro_file, capsys):
+        assert main(["entails", hydro_file, "River sub (Lake"]) == 2
+        assert capsys.readouterr().err.startswith("error: query:1:16: malformed concept")
+
+    def test_concept_parse_error_names_the_query(self, hydro_file, capsys):
+        assert main(["metaconcept", hydro_file, "and"]) == 2
+        assert capsys.readouterr().err.startswith("error: query:1:1: keyword 'and'")
+
 
 def test_traces_are_identical_across_interpreter_runs(hydro_file, tmp_path):
     # the child imports the same alcm package as this process, whether it

@@ -156,6 +156,19 @@ class TestApplicableRule:
         assert ConceptAssertion(w, "fresh#0") in concl.abox
 
 
+class TestMakeBase:
+    def test_fresh_names_are_canonical_up_to_renaming(self):
+        # alpha-equivalent labels must be one cache entry
+        def label(x, y):
+            return make_base((), {ConceptAssertion(A, x), ConceptAssertion(B, y),
+                                  ConceptAssertion(C, "a"), not_equal("a", "b")}, ())
+        j = label("fresh#0", "fresh#1")
+        assert label("fresh#1", "fresh#0") == j
+        assert label("fresh#7", "fresh#3") == j
+        assert hash(label("fresh#1", "fresh#0")) == hash(j)
+        assert ConceptAssertion(A, "fresh#0") in j.abox
+
+
 class TestBuildGraph:
     def test_example_graph_root_closes_on_metamodelled_pair(self, example_graph_kb):
         g = build_graph(example_graph_kb)
@@ -310,7 +323,7 @@ class TestGraphHygiene:
             consistent = g.root not in g.unsat
             verdicts.add(consistent)
             if consistent:
-                for v in consistent_marking(g, g.unsat).nodes:
+                for v in consistent_marking(g).nodes:
                     assert g.kinds[v] in ("and", "or", "end")
         assert verdicts == {True, False}
 

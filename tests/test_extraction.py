@@ -2,7 +2,8 @@
 
 import pytest
 
-from alcm.engine import BaseJudgement, check_consistency, make_base
+from alcm.digraph import is_acyclic
+from alcm.engine import BaseJudgement, check_consistency, difference_witness, make_base
 from alcm.extraction import (
     RGraph,
     build_rgraph,
@@ -15,13 +16,16 @@ from alcm.extraction import (
     unfold_sets,
 )
 from alcm.parser import parse_kb
-from alcm.semantics import el_atom, el_set, extension, rank, satisfies_kb
+from alcm.semantics import el_atom, el_set, extension, satisfies_kb
 from alcm.syntax import (
     ConceptAssertion,
     MboxAxiom,
     atom,
+    conj,
+    disj,
     exists,
     forall,
+    neg,
     not_equal,
 )
 
@@ -130,6 +134,28 @@ class TestCheckSaturated:
         terminal = make_base((), {ConceptAssertion(A, "a")}, {MboxAxiom("a", "A")})
         conditions = [v.condition for v in check_saturated(rg, terminal)]
         assert "mbox-circularity" in conditions
+
+    @staticmethod
+    def separated_pair(witness_label):
+        # a =m A, b =m B, a != b, and one more element carrying witness_label
+        rg = RGraph(delta=("a", "b", "fresh#0"),
+                    labels={"a": frozenset(), "b": frozenset(),
+                            "fresh#0": frozenset(witness_label)},
+                    edges={})
+        abox = {not_equal("a", "b")} | {ConceptAssertion(c, "fresh#0")
+                                         for c in witness_label}
+        terminal = make_base((), abox, {MboxAxiom("a", "A"), MboxAxiom("b", "B")})
+        return check_saturated(rg, terminal)
+
+    def test_missing_difference_witness_is_reported(self):
+        assert self.separated_pair(set()) == [("mbox-difference-witness", "a vs b")]
+
+    def test_only_the_engines_witness_counts(self):
+        mirrored = disj(conj(B, neg(A)), conj(neg(B), A))
+        found = self.separated_pair({mirrored, conj(B, neg(A)), B, neg(A)})
+        assert [v.condition for v in found] == ["mbox-difference-witness"]
+        assert self.separated_pair(
+            {difference_witness("A", "B"), conj(A, neg(B)), A, neg(B)}) == []
 
 
 class TestInducedInterpretation:
@@ -252,8 +278,7 @@ class TestUnfoldSets:
     def test_meta_order_is_acyclic_on_extracted_graphs(self, hydro_kb):
         v = check_consistency(hydro_kb)
         rg, terminal, _ = build_rgraph(v.graph, v.marking)
-        from alcm.semantics import is_well_founded_relation
-        assert is_well_founded_relation(set(rg.delta), meta_order(rg, terminal.mbox))
+        assert is_acyclic(set(rg.delta), meta_order(rg, terminal.mbox))
 
 
 class TestExtractModel:
@@ -262,7 +287,7 @@ class TestExtractModel:
         assert satisfies_kb(interp, hydro_kb)
         assert interp.individuals["river"] is el_set(
             [el_atom("queguay"), el_atom("santaLucia")])
-        assert max(rank(e) for e in interp.domain) <= len(hydro_kb.mbox)
+        assert max(e.rank for e in interp.domain) <= len(hydro_kb.mbox)
 
     def test_inconsistent_kb_has_no_model(self, hydro_circular_kb):
         assert extract_model(hydro_circular_kb) is None

@@ -26,9 +26,9 @@ from alcm.syntax import (
     nnf,
     nnf_tbox,
     not_equal,
+    rename_abox,
+    rename_mbox,
     subconcepts,
-    substitute_abox,
-    substitute_mbox,
     top,
 )
 
@@ -149,25 +149,38 @@ class TestSubconcepts:
 class TestSubstitution:
     def test_abox_replacement(self):
         abox = {ConceptAssertion(C, "b"), RoleAssertion("R", "b", "c")}
-        out = substitute_abox(abox, "a", "b")
+        out = rename_abox(abox, {"b": "a"})
         assert out == {ConceptAssertion(C, "a"), RoleAssertion("R", "a", "c")}
 
     def test_mbox_replacement(self):
-        assert substitute_mbox({MboxAxiom("b", "B")}, "a", "b") == {MboxAxiom("a", "B")}
+        assert rename_mbox({MboxAxiom("b", "B")}, {"b": "a"}) == {MboxAxiom("a", "B")}
 
     def test_can_create_self_inequality(self):
-        out = substitute_abox({not_equal("a", "b")}, "a", "b")
+        out = rename_abox({not_equal("a", "b")}, {"b": "a"})
         assert out == {NotEqual("a", "a")}
 
     def test_deduplicates(self):
         abox = {ConceptAssertion(C, "a"), ConceptAssertion(C, "b")}
-        assert substitute_abox(abox, "a", "b") == {ConceptAssertion(C, "a")}
+        assert rename_abox(abox, {"b": "a"}) == {ConceptAssertion(C, "a")}
 
     def test_never_introduces_new_names(self):
         abox = {RoleAssertion("R", "b", "c"), not_equal("b", "c")}
-        out = substitute_abox(abox, "a", "b")
+        out = rename_abox(abox, {"b": "a"})
         seen = {n for x in out for n in syntax.assertion_individuals(x)}
         assert seen <= {"a", "c"}
+
+    def test_many_name_map(self):
+        # every name is looked up in the original map (no chaining), and
+        # (in)equality pairs are re-sorted after renaming
+        abox = {equal("a", "c"), not_equal("b", "d"), RoleAssertion("R", "a", "b"),
+                ConceptAssertion(C, "c")}
+        ren = {"a": "z", "b": "a", "c": "b"}
+        assert rename_abox(abox, ren) == {
+            Equal("b", "z"), NotEqual("a", "d"), RoleAssertion("R", "z", "a"),
+            ConceptAssertion(C, "b")}
+        mbox = {MboxAxiom("a", "A"), MboxAxiom("c", "C"), MboxAxiom("d", "B")}
+        assert rename_mbox(mbox, ren) == {
+            MboxAxiom("z", "A"), MboxAxiom("b", "C"), MboxAxiom("d", "B")}
 
 
 class TestRecordEquality:
