@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import oracle
-from .engine import DEFAULT_NODE_BUDGET, check_consistency, format_trace
+from .engine import DEFAULT_NODE_BUDGET, RULES, check_consistency, format_trace
 from .errors import BudgetExceededError, UnknownNameError
 from .extraction import model_from_verdict
 from .inference import (
@@ -106,6 +106,8 @@ def _run_check(args, kb) -> int:
         print(f"nodes: {len(g.labels)} built, {expanded} expanded")
         print(f"edges: {sum(len(e) for e in g.edges)}")
         print("kinds: " + " ".join(f"{k}={v}" for k, v in counts.items()))
+        applied = [ra.rule for ra in g.rules if ra is not None]
+        print("rules: " + " ".join(f"{r}={applied.count(r)}" for r in RULES))
     return 0 if verdict.consistent else 1
 
 
@@ -131,12 +133,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    # Once the KB file has parsed, a parse error can only come from the
-    # query or concept argument.
-    source = args.file
     try:
         kb = _load_kb(args.file)
-        source = "query"
         if args.command == "check":
             return _run_check(args, kb)
         if args.command == "entails":
@@ -149,10 +147,7 @@ def main(argv=None) -> int:
         answer = is_meta_concept(kb, parse_concept(args.concept), args.budget)
         print("meta-concept" if answer else "not a meta-concept")
         return 0 if answer else 1
-    except ParseError as e:
-        print(f"error: {source}:{e}", file=sys.stderr)
-        return 2
-    except UnknownNameError as e:
+    except (ParseError, UnknownNameError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

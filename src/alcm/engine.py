@@ -11,6 +11,7 @@ and traces reproducible byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -45,6 +46,11 @@ DEFAULT_NODE_BUDGET = 2 ** 20
 FRESH_PREFIX = "fresh#"
 
 BOTTOM_RULES = ("bot", "bot1", "bot2", "bot3")
+
+# Every rule name, variable rules first, each group in the order the
+# strategy tries them.
+RULES = ("bot", "and", "or", "trans",
+         "bot1", "bot2", "bot3", "and'", "all", "eq", "neq", "or'", "close", "trans'")
 
 
 class _Absurdity:
@@ -111,30 +117,47 @@ def make_base(tbox, abox, mbox) -> BaseJudgement:
     for a in abox:
         if isinstance(a, Equal):
             raise ValueError("base judgements never carry equality assertions")
-    abox = _canonical_fresh(abox)
     return BaseJudgement(tuple(sorted(set(tbox), key=lambda c: c.key)),
-                         tuple(sorted(abox, key=assertion_key)),
+                         _canonical_fresh(sorted(abox, key=assertion_key)),
                          tuple(sorted(set(mbox))))
 
 
-def _canonical_fresh(abox: set) -> set:
+def _extend(j: BaseJudgement, adds) -> BaseJudgement:
+    """``make_base(j.tbox, set(j.abox) | adds, j.mbox)``, derived from j.
+
+    The new assertions are inserted into j's sorted Abox and j's Tbox and
+    Mbox tuples are reused.  j is canonical, so fresh individuals can only
+    need renumbering when an added assertion is about one.
+    """
+    abox = list(j.abox)
+    touches_fresh = False
+    for a in adds:
+        i = bisect_left(abox, assertion_key(a), key=assertion_key)
+        if i == len(abox) or abox[i] != a:
+            abox.insert(i, a)
+            touches_fresh = touches_fresh or (
+                type(a) is ConceptAssertion and a.individual.startswith(FRESH_PREFIX))
+    return BaseJudgement(j.tbox, _canonical_fresh(abox) if touches_fresh else tuple(abox),
+                         j.mbox)
+
+
+def _canonical_fresh(abox: list) -> tuple:
     """Renumber fresh individuals so alpha-equivalent labels cache-hit.
 
-    Fresh individuals only ever occur in concept assertions, so the multiset
-    of concepts asserted about one is a complete signature for it.
+    ``abox`` is sorted by `assertion_key`; so is the result.  Fresh
+    individuals only ever occur in concept assertions, so the multiset of
+    concepts asserted about one is a complete signature for it, and one
+    pass over the sorted Abox lists each signature in order.
     """
-    fresh = sorted({a.individual for a in abox if type(a) is ConceptAssertion
-                    and a.individual.startswith(FRESH_PREFIX)})
-    if not fresh:
-        return abox
-    sig = {f: tuple(sorted(a.concept.key for a in abox
-                           if isinstance(a, ConceptAssertion) and a.individual == f))
-           for f in fresh}
-    order = sorted(fresh, key=lambda f: (sig[f], f))
+    sig: Dict[str, list] = {}
+    for a in abox:
+        if type(a) is ConceptAssertion and a.individual.startswith(FRESH_PREFIX):
+            sig.setdefault(a.individual, []).append(a.concept.key)
+    order = sorted(sig, key=lambda f: (sig[f], f))
     ren = {f: f"{FRESH_PREFIX}{i}" for i, f in enumerate(order)}
     if all(k == v for k, v in ren.items()):
-        return abox
-    return rename_abox(abox, ren)
+        return tuple(abox)
+    return tuple(sorted(rename_abox(abox, ren), key=assertion_key))
 
 
 @dataclass(frozen=True)
@@ -257,15 +280,15 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             c, x = a.concept, a.individual
             have = by_ind[x]
             if not (c.left in have and c.right in have):
-                concl = make_base(T, set(A) | {ConceptAssertion(c.left, x),
-                                               ConceptAssertion(c.right, x)}, M)
+                concl = _extend(j, (ConceptAssertion(c.left, x),
+                                    ConceptAssertion(c.right, x)))
                 return RuleApplication("and'", "or", (a,), j, (concl,))
     for a in A:
         if type(a) is ConceptAssertion and a.concept.tag == syntax.FORALL:
             c, x = a.concept, a.individual
             for r in role_out.get((c.role, x), ()):
                 if c.child not in by_ind.get(r.object, ()):
-                    concl = make_base(T, set(A) | {ConceptAssertion(c.child, r.object)}, M)
+                    concl = _extend(j, (ConceptAssertion(c.child, r.object),))
                     return RuleApplication("all", "or", (a, r), j, (concl,))
     for ind in mdom:
         axs = [m for m in M if m.individual == ind]
@@ -285,8 +308,8 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             if not any(w in cs for cs in by_ind.values()):
                 nfresh = sum(1 for n in individuals if n.startswith(FRESH_PREFIX))
                 d0 = f"{FRESH_PREFIX}{nfresh}"
-                adds = {ConceptAssertion(w, d0)} | {ConceptAssertion(c, d0) for c in T}
-                concl = make_base(T, set(A) | adds, M)
+                concl = _extend(j, [ConceptAssertion(w, d0)]
+                                + [ConceptAssertion(c, d0) for c in T])
                 return RuleApplication("neq", "or", (a, An, Bn), j, (concl,))
 
     # Branching static rules.
@@ -295,8 +318,8 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             c, x = a.concept, a.individual
             have = by_ind[x]
             if c.left not in have and c.right not in have:
-                left = make_base(T, set(A) | {ConceptAssertion(c.left, x)}, M)
-                right = make_base(T, set(A) | {ConceptAssertion(c.right, x)}, M)
+                left = _extend(j, (ConceptAssertion(c.left, x),))
+                right = _extend(j, (ConceptAssertion(c.right, x),))
                 return RuleApplication("or'", "or", (a,), j, (left, right))
     if len(mdom) > 1:
         neq_pairs = {(n.left, n.right) for n in neqs}
@@ -306,7 +329,7 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
                 if (a, b) not in neq_pairs:
                     merged = make_base(T, rename_abox(A, {b: a}),
                                        rename_mbox(M, {b: a}))
-                    separated = make_base(T, set(A) | {not_equal(a, b)}, M)
+                    separated = _extend(j, (not_equal(a, b),))
                     return RuleApplication("close", "or", (a, b), j,
                                            (merged, separated))
 
@@ -351,6 +374,8 @@ class AndOrGraph:
     kinds: List[str] = field(default_factory=list)
     edges: List[List[Tuple[int, object]]] = field(default_factory=list)
     rules: List[Optional[RuleApplication]] = field(default_factory=list)
+    # Distinct children of each node, in edge order; set when it is expanded.
+    child_ids: List[tuple] = field(default_factory=list)
     root: int = 0
     initial_merges: Dict[str, str] = field(default_factory=dict)
     # Nodes known unsat, each mapped to its rank in the order they were found.
@@ -365,15 +390,11 @@ class AndOrGraph:
             self.kinds.append("bot" if label is ABSURDITY else "open")
             self.edges.append([])
             self.rules.append(None)
+            self.child_ids.append(())
         return nid
 
     def children(self, nid: int) -> tuple:
-        seen, out = set(), []
-        for (c, _) in self.edges[nid]:
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        return tuple(out)
+        return self.child_ids[nid]
 
 
 def initialize_root(kb: KnowledgeBase):
@@ -424,6 +445,11 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     all are.  Unexpanded nodes are never unsat, so every unsat fact here
     also holds on the fully expanded graph.
 
+    The walk is kept across rounds.  After a round that found no unsat
+    node, every choice it made still stands, so it only grows from the
+    nodes that round expanded; after one that did, it starts again from
+    the root.
+
     Construction stops when the root is unsat (the KB is inconsistent) or
     when the walk reaches no unexpanded node (the KB is consistent: that
     closed marking avoids the least unsat fixpoint of the full graph).
@@ -433,12 +459,12 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     root, merges = initialize_root(kb)
     g = AndOrGraph(initial_merges=merges)
     g.root = g.add(root)
-    unsat = g.unsat
+    kinds, unsat, kids = g.kinds, g.unsat, g.child_ids
     parents: List[List[int]] = [[]]
 
     def dead(v):
-        quantifier = all if g.kinds[v] == "or" else any
-        return quantifier(c in unsat for c in g.children(v))
+        quantifier = all if kinds[v] == "or" else any
+        return quantifier(c in unsat for c in kids[v])
 
     def refute(v):
         unsat[v] = len(unsat)
@@ -452,10 +478,10 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     def expand(v):
         ra = applicable_rule(g.labels[v])
         if ra is None:
-            g.kinds[v] = "end"
+            kinds[v] = "end"
             return
         g.rules[v] = ra
-        g.kinds[v] = "and" if ra.connective == "and" else "or"
+        kinds[v] = "and" if ra.connective == "and" else "or"
         transitional = ra.rule in ("trans", "trans'")
         for idx, concl in enumerate(ra.conclusions):
             known = concl in g.nodes
@@ -476,14 +502,16 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             else:
                 edge_label = None
             g.edges[v].append((cid, edge_label))
-        for c in g.children(v):
+        kids[v] = tuple(dict.fromkeys(c for c, _ in g.edges[v]))
+        for c in kids[v]:
             parents[c].append(v)
         if dead(v):
             refute(v)
 
-    while g.root not in unsat:
-        frontier = sorted(v for v in consistent_marking(g).nodes
-                          if g.kinds[v] == "open")
+    marked: set = set()
+    starts = [g.root]
+    while True:
+        frontier = sorted(v for v in _walk(g, marked, starts) if kinds[v] == "open")
         if not frontier:
             break
         before = len(unsat)
@@ -491,6 +519,15 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             expand(v)
             if len(unsat) != before:
                 break  # the walk may now take other children: walk again
+        if len(unsat) == before:
+            # every choice stands: walk on from the nodes just expanded
+            marked.difference_update(frontier)
+            starts = frontier
+        elif g.root in unsat:
+            break
+        else:
+            marked.clear()
+            starts = [g.root]
     return g
 
 
@@ -541,6 +578,32 @@ class Marking:
     choice: Dict[int, int]
 
 
+def _least_live_child(g: AndOrGraph, v: int) -> int:
+    """The least child of or-node ``v`` that is not in ``g.unsat``."""
+    unsat = g.unsat
+    return min(c for c in g.child_ids[v] if c not in unsat)
+
+
+def _walk(g: AndOrGraph, marked: set, starts) -> list:
+    """Add to ``marked`` the nodes the marking walk reaches from ``starts``
+    (`_least_live_child` of an or-node, every child of an and-node) and
+    return the ones it newly marks."""
+    kinds, kids = g.kinds, g.child_ids
+    new = []
+    stack = list(starts)
+    while stack:
+        v = stack.pop()
+        if v in marked:
+            continue
+        marked.add(v)
+        new.append(v)
+        if kinds[v] == "or":
+            stack.append(_least_live_child(g, v))
+        elif kinds[v] == "and":
+            stack.extend(kids[v])
+    return new
+
+
 def consistent_marking(g: AndOrGraph) -> Marking:
     """The marking reached from the root, taking at each or-node the least
     child id that is not in ``g.unsat``.
@@ -550,21 +613,9 @@ def consistent_marking(g: AndOrGraph) -> Marking:
     unless the separated judgement was already cached.  Any surviving child
     would give a legal marking; this preference only fixes which one.
     """
-    unsat = g.unsat
-    nodes, choice = set(), {}
-    stack = [g.root]
-    while stack:
-        v = stack.pop()
-        if v in nodes:
-            continue
-        nodes.add(v)
-        if g.kinds[v] == "or":
-            child = min(c for c in g.children(v) if c not in unsat)
-            choice[v] = child
-            stack.append(child)
-        elif g.kinds[v] == "and":
-            stack.extend(g.children(v))
-    return Marking(frozenset(nodes), choice)
+    nodes = frozenset(_walk(g, set(), [g.root]))
+    return Marking(nodes, {v: _least_live_child(g, v) for v in nodes
+                           if g.kinds[v] == "or"})
 
 
 @dataclass(frozen=True)

@@ -55,13 +55,18 @@ _PUNCT = {"{", "}", "(", ")", ";", ".", ",", "=", "!=", "=m"}
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, column: int, expected: str = ""):
+    """A syntax error at ``origin:line:column`` (origin names the input:
+    a file path, "query", ...)."""
+
+    def __init__(self, message: str, origin: str, line: int, column: int,
+                 expected: str = ""):
         self.message = message
+        self.origin = origin
         self.line = line
         self.column = column
         self.expected = expected
         tail = f" (expected {expected})" if expected else ""
-        super().__init__(f"{line}:{column}: {message}{tail}")
+        super().__init__(f"{origin}:{line}:{column}: {message}{tail}")
 
 
 class Token(NamedTuple):
@@ -75,7 +80,7 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, origin: str):
     toks = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -124,14 +129,14 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        raise ParseError(f"unexpected character {ch!r}", origin, line, col)
     toks.append(Token("eof", "", line, col))
     return toks
 
 
 class _Parser:
-    def __init__(self, text: str, origin: str = "<kb>"):
-        self.toks = _tokenize(text)
+    def __init__(self, text: str, origin: str):
+        self.toks = _tokenize(text, origin)
         self.pos = 0
         self.origin = origin
 
@@ -146,7 +151,7 @@ class _Parser:
 
     def error(self, message: str, expected: str = "", tok: Token = None):
         t = tok or self.peek()
-        raise ParseError(message, t.line, t.column, expected)
+        raise ParseError(message, self.origin, t.line, t.column, expected)
 
     def expect(self, kind: str, production: str) -> Token:
         t = self.peek()
@@ -279,8 +284,9 @@ def parse_kb(text: str, origin: str = "<kb>") -> KnowledgeBase:
 
 
 def parse_concept(text: str):
-    """Parse a whole string as one concept (used by the CLI)."""
-    p = _Parser(text)
+    """Parse a whole string as one concept (used by the CLI); errors name
+    their origin "query"."""
+    p = _Parser(text, "query")
     c = p.concept()
     if p.peek().kind != "eof":
         p.error("trailing input after concept")
@@ -296,8 +302,10 @@ def parse_query(text: str) -> tuple:
       ("eq", a, b)     a = b
       ("neq", a, b)    a != b
       ("meta", a, A)   a =m A
+
+    Errors name their origin "query".
     """
-    p = _Parser(text)
+    p = _Parser(text, "query")
     t0, t1 = p.peek(0), p.peek(1)
     if t0.kind == "ident" and t0.text not in KEYWORDS and t1.kind in ("=", "!=", "=m"):
         a = p.advance().text

@@ -10,7 +10,7 @@ import pytest
 import alcm
 from alcm.cli import main
 
-from conftest import HYDRO_TEXT
+from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_TEXT
 
 
 @pytest.fixture()
@@ -46,6 +46,12 @@ class TestCheck:
         p.write_text("abox { A(a) }")
         assert main(["check", str(p)]) == 2
 
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.alcm"
+        p.write_text("abox { A(a) }")
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}:1:13: malformed abox entry")
+
     def test_budget_exhaustion(self, hydro_file):
         assert main(["check", hydro_file, "--budget", "5"]) == 3
 
@@ -79,6 +85,17 @@ class TestCheck:
         # the left disjunct closes the marking; the right is built, not expanded
         assert "nodes: 3 built, 2 expanded" in out
         assert "open=1" in out
+
+    def test_stats_count_rule_applications(self, tmp_path, capsys):
+        p = tmp_path / "example.alcm"
+        p.write_text(EXAMPLE_GRAPH_TEXT)
+        assert main(["check", str(p), "--stats"]) == 0
+        out = capsys.readouterr().out
+        # one count per rule in the fixed order, summing to the 28 expanded
+        # nodes of this graph (none of which is an end node)
+        assert "nodes: 31 built, 28 expanded\n" in out
+        assert ("rules: bot=2 and=0 or=3 trans=2 bot1=4 bot2=0 bot3=1 and'=3 all=0 "
+                "eq=1 neq=1 or'=7 close=1 trans'=3\n") in out
 
     def test_oracle_flag(self, hydro_file, circular_file, capsys):
         assert main(["check", hydro_file, "--oracle"]) == 0

@@ -1,13 +1,17 @@
 """And-or graph engine: initialization, rules, graph construction, verdicts."""
 
+import hashlib
+
 import pytest
 
 from alcm import syntax
 from alcm.digraph import find_cycle
 from alcm.engine import (
     ABSURDITY,
+    RULES,
     BaseJudgement,
     VariableJudgement,
+    _extend,
     applicable_rule,
     build_graph,
     check_consistency,
@@ -168,6 +172,34 @@ class TestMakeBase:
         assert hash(label("fresh#1", "fresh#0")) == hash(j)
         assert ConceptAssertion(A, "fresh#0") in j.abox
 
+    def test_derived_label_renumbers_when_the_fresh_order_changes(self):
+        # fresh#0 is B-only and fresh#1 C-only; asserting A about fresh#1
+        # gives it the least signature, so the two must swap names
+        j = make_base((), {ConceptAssertion(B, "fresh#0"), ConceptAssertion(C, "fresh#1"),
+                           ConceptAssertion(D, "a")}, ())
+        add = ConceptAssertion(A, "fresh#1")
+        derived = _extend(j, (add,))
+        assert derived == make_base(j.tbox, set(j.abox) | {add}, j.mbox)
+        assert set(derived.abox) == {ConceptAssertion(A, "fresh#0"),
+                                     ConceptAssertion(C, "fresh#0"),
+                                     ConceptAssertion(B, "fresh#1"),
+                                     ConceptAssertion(D, "a")}
+
+    def test_derived_label_skips_assertions_already_present(self):
+        j = make_base((), {ConceptAssertion(A, "a"), ConceptAssertion(B, "b")}, ())
+        assert _extend(j, (ConceptAssertion(A, "a"), ConceptAssertion(C, "a"))) == \
+            make_base((), set(j.abox) | {ConceptAssertion(C, "a")}, ())
+
+    def test_every_base_label_is_canonical(self, sample):
+        # labels derived from their parent must be exactly what make_base
+        # builds from scratch, or the global cache would split
+        for g in sample:
+            for label in g.labels:
+                if isinstance(label, BaseJudgement):
+                    again = make_base(label.tbox, label.abox, label.mbox)
+                    assert (again.tbox, again.abox, again.mbox) == \
+                        (label.tbox, label.abox, label.mbox)
+
 
 class TestBuildGraph:
     def test_example_graph_root_closes_on_metamodelled_pair(self, example_graph_kb):
@@ -203,6 +235,19 @@ class TestBuildGraph:
         assert g.kinds[left] == "end"
         assert g.kinds[right] == "open"
         assert g.rules[right] is None and g.edges[right] == []
+
+    def test_traces_match_the_pinned_digest(self):
+        # one digest over the traces and certificates of 100 corpus KBs; a
+        # change to which nodes are built, or in what order, must update it
+        # on purpose
+        h = hashlib.sha256()
+        for kb in corpus(seed=20240, size=100):
+            v = check_consistency(kb)
+            h.update(format_trace(v.graph, v).encode())
+            h.update((v.certificate.describe() if not v.consistent
+                      else "consistent").encode() + b"\n")
+        assert h.hexdigest() == \
+            "da0ab6040e899e8dfc5f752c5eec78769216ca04e115b86e6c7bb2e05fb58f07"
 
     def test_construction_stops_once_the_root_is_decided(self):
         # this corpus KB took 38,312 nodes when the graph was expanded to
@@ -273,6 +318,12 @@ def sample():
 
 
 class TestGraphHygiene:
+
+    def test_rules_lists_every_applied_rule(self, sample):
+        # `alcm check --stats` counts only the names in RULES; the sample
+        # applies all fourteen, so renaming one, or adding one the sample
+        # applies, without listing it fails here
+        assert {ra.rule for g in sample for ra in g.rules if ra is not None} == set(RULES)
 
     def test_unique_labels(self, sample):
         for g in sample:

@@ -64,6 +64,18 @@ class TestParseKb:
         with pytest.raises(ParseError):
             parse_kb("abox { A(a)? }")
 
+    def test_error_names_its_origin(self):
+        with pytest.raises(ParseError) as e:
+            parse_kb("abox { A(a)? }", origin="kb.alcm")
+        assert (e.value.origin, e.value.line, e.value.column) == ("kb.alcm", 1, 12)
+        assert str(e.value) == "kb.alcm:1:12: unexpected character '?'"
+        with pytest.raises(ParseError) as e:
+            parse_query("a = ")
+        assert str(e.value).startswith("query:1:5: malformed query")
+        with pytest.raises(ParseError) as e:
+            parse_concept("A and")
+        assert str(e.value).startswith("query:1:6: malformed concept")
+
 
 class TestPrecedence:
     def test_not_exists_bind_tighter_than_and_than_or(self):
