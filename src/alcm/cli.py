@@ -108,6 +108,11 @@ def _run_check(args, kb) -> int:
         print("kinds: " + " ".join(f"{k}={v}" for k, v in counts.items()))
         applied = [ra.rule for ra in g.rules if ra is not None]
         print("rules: " + " ".join(f"{r}={applied.count(r)}" for r in RULES))
+        # or-nodes refuted while a child was still live: each is a backjump
+        unsat = g.unsat
+        jumps = sum(1 for v, rank in unsat.items() if g.kinds[v] == "or"
+                    and any(unsat.get(c, rank) >= rank for c in g.children(v)))
+        print(f"backjumps: {jumps}")
     return 0 if verdict.consistent else 1
 
 

@@ -167,6 +167,10 @@ class RuleApplication:
     principal: tuple
     premise: object
     conclusions: tuple
+    # One entry per conclusion: the assertions it adds to the premise's
+    # Abox, keeping its Tbox and Mbox, or None for the merged branch of
+    # `close`.  Empty for rules whose conclusions are built another way.
+    added: tuple = ()
 
 
 # --------------------------------------------------------------------------
@@ -280,16 +284,16 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             c, x = a.concept, a.individual
             have = by_ind[x]
             if not (c.left in have and c.right in have):
-                concl = _extend(j, (ConceptAssertion(c.left, x),
-                                    ConceptAssertion(c.right, x)))
-                return RuleApplication("and'", "or", (a,), j, (concl,))
+                adds = (ConceptAssertion(c.left, x), ConceptAssertion(c.right, x))
+                return RuleApplication("and'", "or", (a,), j, (_extend(j, adds),), (adds,))
     for a in A:
         if type(a) is ConceptAssertion and a.concept.tag == syntax.FORALL:
             c, x = a.concept, a.individual
             for r in role_out.get((c.role, x), ()):
                 if c.child not in by_ind.get(r.object, ()):
-                    concl = _extend(j, (ConceptAssertion(c.child, r.object),))
-                    return RuleApplication("all", "or", (a, r), j, (concl,))
+                    adds = (ConceptAssertion(c.child, r.object),)
+                    return RuleApplication("all", "or", (a, r), j, (_extend(j, adds),),
+                                           (adds,))
     for ind in mdom:
         axs = [m for m in M if m.individual == ind]
         if len(axs) >= 2:
@@ -308,9 +312,9 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             if not any(w in cs for cs in by_ind.values()):
                 nfresh = sum(1 for n in individuals if n.startswith(FRESH_PREFIX))
                 d0 = f"{FRESH_PREFIX}{nfresh}"
-                concl = _extend(j, [ConceptAssertion(w, d0)]
-                                + [ConceptAssertion(c, d0) for c in T])
-                return RuleApplication("neq", "or", (a, An, Bn), j, (concl,))
+                adds = (ConceptAssertion(w, d0),) + tuple(ConceptAssertion(c, d0) for c in T)
+                return RuleApplication("neq", "or", (a, An, Bn), j, (_extend(j, adds),),
+                                       (adds,))
 
     # Branching static rules.
     for a in A:
@@ -318,9 +322,9 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             c, x = a.concept, a.individual
             have = by_ind[x]
             if c.left not in have and c.right not in have:
-                left = _extend(j, (ConceptAssertion(c.left, x),))
-                right = _extend(j, (ConceptAssertion(c.right, x),))
-                return RuleApplication("or'", "or", (a,), j, (left, right))
+                adds = ((ConceptAssertion(c.left, x),), (ConceptAssertion(c.right, x),))
+                return RuleApplication("or'", "or", (a,), j,
+                                       tuple(_extend(j, add) for add in adds), adds)
     if len(mdom) > 1:
         neq_pairs = {(n.left, n.right) for n in neqs}
         srt = sorted(mdom)
@@ -329,9 +333,9 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
                 if (a, b) not in neq_pairs:
                     merged = make_base(T, rename_abox(A, {b: a}),
                                        rename_mbox(M, {b: a}))
-                    separated = _extend(j, (not_equal(a, b),))
+                    adds = (not_equal(a, b),)
                     return RuleApplication("close", "or", (a, b), j,
-                                           (merged, separated))
+                                           (merged, _extend(j, adds)), (None, adds))
 
     # Transitional rule.
     existentials = [a for a in A
@@ -380,6 +384,11 @@ class AndOrGraph:
     initial_merges: Dict[str, str] = field(default_factory=dict)
     # Nodes known unsat, each mapped to its rank in the order they were found.
     unsat: Dict[int, int] = field(default_factory=dict)
+    # Core of each unsat base node: a subset of its Abox that is unsat with
+    # its Tbox and Mbox.
+    cores: Dict[int, frozenset] = field(default_factory=dict)
+    # Or-nodes refuted by one child's core alone, mapped to that child.
+    core_child: Dict[int, int] = field(default_factory=dict)
 
     def add(self, label) -> int:
         nid = self.nodes.get(label)
@@ -440,10 +449,13 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     from the root, which takes the least child not known unsat at an
     or-node and every child of an and-node.  Each round expands, least id
     first, the unexpanded nodes that walk reaches, and unsat status is
-    propagated to parents as soon as it changes: absurdity is unsat, an
-    and-node with one unsat child is, and so is an or-node whose children
-    all are.  Unexpanded nodes are never unsat, so every unsat fact here
-    also holds on the fully expanded graph.
+    propagated to parents as soon as it changes (see `_refuted`): absurdity
+    is unsat, an and-node with one unsat child is, and so is an or-node
+    whose children all are, or one child of which has a core inside the
+    or-node's own Abox.  That last case is a backjump: the or-node's other
+    children are never expanded for it.  Unexpanded nodes are never unsat,
+    and every unsat node has an unsat core, so every unsat fact here also
+    holds on the fully expanded graph.
 
     The walk is kept across rounds.  After a round that found no unsat
     node, every choice it made still stands, so it only grows from the
@@ -454,7 +466,9 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     when the walk reaches no unexpanded node (the KB is consistent: that
     closed marking avoids the least unsat fixpoint of the full graph).
     Nodes never expanded keep kind "open"; ``g.unsat`` holds the propagated
-    set in the order it grew.  The node budget counts the nodes built.
+    set in the order it grew, ``g.cores`` the core of each unsat base node
+    and ``g.core_child`` the backjumps.  The node budget counts the nodes
+    built.
     """
     root, merges = initialize_root(kb)
     g = AndOrGraph(initial_merges=merges)
@@ -462,18 +476,21 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     kinds, unsat, kids = g.kinds, g.unsat, g.child_ids
     parents: List[List[int]] = [[]]
 
-    def dead(v):
-        quantifier = all if kinds[v] == "or" else any
-        return quantifier(c in unsat for c in kids[v])
-
-    def refute(v):
-        unsat[v] = len(unsat)
+    def settle(v):
+        """Refute v if it is unsat now, then every ancestor that dies with it."""
         queue = deque([v])
         while queue:
-            for p in parents[queue.popleft()]:
-                if p not in unsat and dead(p):
-                    unsat[p] = len(unsat)
-                    queue.append(p)
+            u = queue.popleft()
+            death = None if u in unsat else _refuted(g, u)
+            if death is None:
+                continue
+            core, by = death
+            unsat[u] = len(unsat)
+            if core is not None:
+                g.cores[u] = core
+            if by is not None:
+                g.core_child[u] = by
+            queue.extend(parents[u])
 
     def expand(v):
         ra = applicable_rule(g.labels[v])
@@ -505,8 +522,7 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
         kids[v] = tuple(dict.fromkeys(c for c, _ in g.edges[v]))
         for c in kids[v]:
             parents[c].append(v)
-        if dead(v):
-            refute(v)
+        settle(v)
 
     marked: set = set()
     starts = [g.root]
@@ -532,15 +548,112 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
 
 
 # --------------------------------------------------------------------------
+# Unsat status and cores
+# --------------------------------------------------------------------------
+
+def _refuted(g: AndOrGraph, v: int):
+    """None while expanded node ``v`` may be satisfiable, given ``g.unsat``;
+    else ``(core, by)``.
+
+    ``core`` is v's core, or None for a variable judgement.  ``by`` is the
+    child whose core alone refutes or-node ``v`` (a backjump), else None.
+    A backjump needs a child that adds assertions to v's Abox under v's
+    Tbox and Mbox: if its core avoids what it added, that core lies inside
+    v's Abox.  The merged branch of `close` never qualifies, since its
+    core is unsat only under the merged Mbox.
+    """
+    unsat, kids = g.unsat, g.child_ids[v]
+    if g.kinds[v] == "and":
+        dead = [c for c in kids if c in unsat]
+        if not dead:
+            return None
+        j = g.labels[v]
+        if type(j) is not BaseJudgement:
+            return None, None
+        c = min(dead, key=unsat.__getitem__)
+        ra = g.rules[v]
+        e = next(ra.principal[i] for i, (cid, _) in enumerate(g.edges[v]) if cid == c)
+        return _trans_core(j, e), None
+    ra = g.rules[v]
+    for (c, _), add in zip(g.edges[v], ra.added):
+        if add is not None and c in unsat and g.cores[c].isdisjoint(add) \
+                and not _renumbered(g.labels[v], g.labels[c], add):
+            return g.cores[c], c
+    if not all(c in unsat for c in kids):
+        return None
+    return (_or_core(g, v) if type(g.labels[v]) is BaseJudgement else None), None
+
+
+def _renumbered(parent: BaseJudgement, child: BaseJudgement, added) -> bool:
+    """Whether `_extend` renamed fresh individuals to make ``child``, so its
+    Abox is not ``parent``'s plus ``added`` under the parent's names."""
+    if not any(type(a) is ConceptAssertion and a.individual.startswith(FRESH_PREFIX)
+               for a in added):
+        return False
+    return set(child.abox) != set(parent.abox).union(added)
+
+
+def _or_core(g: AndOrGraph, v: int) -> frozenset:
+    """Core of base or-node ``v``, all of whose children are unsat.
+
+    A bottom rule's core is its principal assertions, or for `bot3` the
+    assertions that make the membership cycle.  Otherwise it is the
+    principal assertions plus, for each child, the part of the child's core
+    that lies in v's Abox: its core minus what it added, or for the merged
+    branch of `close` the assertions the merge renames into its core.  The
+    whole Abox stands in for `eq`, which changes the Tbox and Mbox, and for
+    a child whose fresh individuals were renumbered.
+    """
+    ra, j = g.rules[v], g.labels[v]
+    if ra.rule in ("bot1", "bot2"):
+        return frozenset(ra.principal)
+    if ra.rule == "bot3":
+        cycle = ra.principal
+        meta: Dict[str, list] = {}
+        for m in j.mbox:
+            meta.setdefault(m.individual, []).append(m.concept_name)
+        edges = {ConceptAssertion(atom(n), x)
+                 for x, y in zip(cycle, cycle[1:] + cycle[:1]) for n in meta[y]}
+        return frozenset(edges.intersection(j.abox))
+    if ra.rule == "eq":
+        return frozenset(j.abox)
+    core = {p for p in ra.principal if not isinstance(p, str)}
+    for (c, _), add in zip(g.edges[v], ra.added):
+        if add is None:
+            ren = {ra.principal[1]: ra.principal[0]}
+            merged_core = g.cores[c]
+            core.update(a for a in j.abox
+                        if not merged_core.isdisjoint(rename_abox((a,), ren)))
+        elif _renumbered(j, g.labels[c], add):
+            return frozenset(j.abox)
+        else:
+            core.update(g.cores[c].difference(add))
+    return frozenset(core)
+
+
+def _trans_core(j: BaseJudgement, e: ConceptAssertion) -> frozenset:
+    """Core of a `trans'` node whose variable child for the existential
+    ``e`` is unsat: ``e`` and the universals on the same role and
+    individual, which together built that child."""
+    x, role = e.individual, e.concept.role
+    return frozenset([e] + [a for a in j.abox
+                            if type(a) is ConceptAssertion and a.individual == x
+                            and a.concept.tag == syntax.FORALL and a.concept.role == role])
+
+
+# --------------------------------------------------------------------------
 # Unsatisfiable-node fixpoint, markings, verdicts
 # --------------------------------------------------------------------------
 
 def _unsat_with_order(g: AndOrGraph):
     """Least fixpoint of unsat propagation, plus the order nodes entered it.
 
-    Recomputed from the edges alone: `build_graph` keeps the same set up to
-    date in ``g.unsat`` as it grows the graph, and this is the reference
-    that checks it.
+    Recomputed from the edges and the recorded backjumps alone: absurdity
+    is unsat, an and-node with an unsat child is, and so is an or-node
+    whose children all are or whose ``g.core_child`` is.  `build_graph`
+    keeps the same set up to date in ``g.unsat`` as it grows the graph, and
+    this is the reference that checks it; the cores behind the backjumps
+    are checked on their own.
     """
     parents: List[set] = [set() for _ in g.labels]
     for u in range(len(g.labels)):
@@ -558,7 +671,7 @@ def _unsat_with_order(g: AndOrGraph):
         for u in sorted(parents[v]):
             if u in entry:
                 continue
-            if g.kinds[u] == "or":
+            if g.kinds[u] == "or" and g.core_child.get(u) not in entry:
                 if not all(c in entry for c in g.children(u)):
                     continue
             entry[u] = len(entry)
@@ -648,9 +761,11 @@ _BOTTOM_PREFERENCE = {"bot3": 0, "bot2": 1, "bot1": 2, "bot": 3}
 def _refutation_trace(g: AndOrGraph):
     """Deterministic root-to-absurdity walk through the unsat subgraph.
 
-    At an or-node every child is unsatisfiable; the walk defers children
-    that die immediately by a bottom rule, and when only those remain it
-    prefers circularity over self-inequality over clash, so the reported
+    Every step goes to a child refuted before its parent.  At an or-node
+    the walk follows the child whose core refuted it, if one did; otherwise
+    every child is unsatisfiable, and the walk defers children that die
+    immediately by a bottom rule, and when only those remain it prefers
+    circularity over self-inequality over clash, so the reported
     certificate names the deepest obstacle rather than the first dead branch.
     """
     v = g.root
@@ -660,8 +775,11 @@ def _refutation_trace(g: AndOrGraph):
         ra = g.rules[v]
         trace.append((v, ra.rule, ra.principal))
         last = ra
-        kids = g.children(v)
-        if g.kinds[v] == "or":
+        rank = g.unsat[v]
+        kids = [c for c in g.children(v) if g.unsat.get(c, rank) < rank]
+        if v in g.core_child:
+            v = g.core_child[v]
+        elif g.kinds[v] == "or":
             bots = [c for c in kids if g.labels[c] is ABSURDITY]
             if bots:
                 v = bots[0]
@@ -673,7 +791,7 @@ def _refutation_trace(g: AndOrGraph):
             else:
                 v = min(kids, key=lambda c: (_BOTTOM_PREFERENCE[g.rules[c].rule], c))
         else:  # and-node: follow the child that was refuted first
-            v = min((c for c in kids if c in g.unsat), key=lambda c: g.unsat[c])
+            v = min(kids, key=g.unsat.__getitem__)
     return trace, _certificate(last)
 
 

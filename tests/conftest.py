@@ -27,6 +27,17 @@ mbox { a =m A; b =m B; }
 """
 
 
+# Corpus KB #211 of seed 20240 plus n unrelated individuals E(e1) ... E(en):
+# the separated branch of `close` dies under every combination of the
+# earlier disjunctions, since b =m D, c =m D make the neq witness
+# (D and not D) or (not D and D).  Consistent for every n.
+def thrash_text(n: int) -> str:
+    extra = " ".join(f"E(e{i});" for i in range(1, n + 1))
+    return ("tbox { A subclassof C; B subclassof B or C; }\n"
+            f"abox {{ A(b); B(d); not D(a); {extra} }}\n"
+            "mbox { b =m D; c =m D; }\n")
+
+
 @pytest.fixture(scope="session")
 def hydro_kb():
     return parse_kb(HYDRO_TEXT)
@@ -59,3 +70,8 @@ def judgement_to_kb(j) -> KnowledgeBase:
     assert isinstance(j, VariableJudgement)
     abox = {ConceptAssertion(c, "x0") for c in j.concepts}
     return KnowledgeBase.of(tbox, abox, ())
+
+
+def core_kb(j: BaseJudgement, core) -> KnowledgeBase:
+    """A base judgement's Tbox and Mbox with ``core`` for its Abox, as a KB."""
+    return judgement_to_kb(BaseJudgement(j.tbox, tuple(core), j.mbox))

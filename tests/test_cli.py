@@ -10,7 +10,7 @@ import pytest
 import alcm
 from alcm.cli import main
 
-from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_TEXT
+from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_TEXT, thrash_text
 
 
 @pytest.fixture()
@@ -91,11 +91,23 @@ class TestCheck:
         p.write_text(EXAMPLE_GRAPH_TEXT)
         assert main(["check", str(p), "--stats"]) == 0
         out = capsys.readouterr().out
-        # one count per rule in the fixed order, summing to the 28 expanded
+        # one count per rule in the fixed order, summing to the 22 expanded
         # nodes of this graph (none of which is an end node)
-        assert "nodes: 31 built, 28 expanded\n" in out
-        assert ("rules: bot=2 and=0 or=3 trans=2 bot1=4 bot2=0 bot3=1 and'=3 all=0 "
-                "eq=1 neq=1 or'=7 close=1 trans'=3\n") in out
+        assert "nodes: 27 built, 22 expanded\n" in out
+        assert ("rules: bot=2 and=0 or=3 trans=2 bot1=1 bot2=0 bot3=1 and'=3 all=0 "
+                "eq=1 neq=1 or'=5 close=1 trans'=2\n") in out
+
+    def test_stats_count_backjumps(self, tmp_path, capsys):
+        p = tmp_path / "thrash.alcm"
+        p.write_text(thrash_text(0))
+        assert main(["check", str(p), "--stats"]) == 0
+        out = capsys.readouterr().out
+        # six disjunctions are refuted with their right disjunct unexpanded:
+        # four above the `close` whose separated branch dies, since its core
+        # {A(b), not A(c)} lies in their Abox, and two above the dead neq
+        # witness
+        assert "nodes: 41 built, 28 expanded\n" in out
+        assert "backjumps: 6\n" in out
 
     def test_oracle_flag(self, hydro_file, circular_file, capsys):
         assert main(["check", hydro_file, "--oracle"]) == 0

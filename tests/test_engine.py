@@ -1,10 +1,11 @@
 """And-or graph engine: initialization, rules, graph construction, verdicts."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from alcm import syntax
+from alcm import oracle, syntax
 from alcm.digraph import find_cycle
 from alcm.engine import (
     ABSURDITY,
@@ -28,6 +29,7 @@ from alcm.parser import parse_kb
 from alcm.randomkb import corpus
 from alcm.syntax import (
     ConceptAssertion,
+    KnowledgeBase,
     MboxAxiom,
     NotEqual,
     atom,
@@ -39,7 +41,7 @@ from alcm.syntax import (
     not_equal,
 )
 
-from conftest import HYDRO_INDIVIDUALS
+from conftest import HYDRO_INDIVIDUALS, core_kb, thrash_text
 
 A, B, C, D, E = (atom(x) for x in "ABCDE")
 
@@ -207,12 +209,15 @@ class TestBuildGraph:
         ra = g.rules[g.root]
         assert ra.rule == "close" and ra.principal == ("a", "b")
         # frozen from a hand-checked trace dump of this construction: the
-        # merge branch dies on d's R-successor (A and not B once A = B), the
-        # separated branch closes through the neq witness, and two nodes
-        # (a sibling variable judgement and the witness's right disjunct)
-        # are built but never expanded
-        assert len(g.labels) == 31
-        assert g.kinds.count("open") == 2
+        # merge branch dies on d's R-successor (A and not B once A = B),
+        # whose core {exists R . A(d), forall R . not B(d)} lies in the
+        # Abox of every disjunction above it, so two of them are refuted
+        # with their right disjunct never expanded; the separated branch
+        # closes through the neq witness; and two more nodes (a sibling
+        # variable judgement and the witness's right disjunct) are built
+        # but never expanded
+        assert len(g.labels) == 27
+        assert g.kinds.count("open") == 4
 
     def test_empty_kb_is_a_single_end_node(self):
         g = build_graph(parse_kb(""))
@@ -247,7 +252,7 @@ class TestBuildGraph:
             h.update((v.certificate.describe() if not v.consistent
                       else "consistent").encode() + b"\n")
         assert h.hexdigest() == \
-            "da0ab6040e899e8dfc5f752c5eec78769216ca04e115b86e6c7bb2e05fb58f07"
+            "2296c0b796232795fa2d9e4092559a1cbc445188c832f37437458a2c9cfb4d2d"
 
     def test_construction_stops_once_the_root_is_decided(self):
         # this corpus KB took 38,312 nodes when the graph was expanded to
@@ -256,6 +261,61 @@ class TestBuildGraph:
         v = check_consistency(kb)
         assert v.consistent
         assert len(v.graph.labels) <= 100
+
+
+class TestCores:
+    def test_corpus_kb_211_stops_thrashing(self):
+        # 1,272 nodes when every combination of the earlier disjunctions
+        # was retried under the `close` whose separated branch always dies
+        v = check_consistency(corpus(seed=20240, size=212)[211])
+        assert v.consistent
+        assert len(v.graph.labels) <= 60
+
+    def test_corpus_kb_257_is_refuted_through_one_existential(self):
+        # 280 nodes when a dead variable child refuted its trans' node
+        # with the whole Abox as core
+        v = check_consistency(corpus(seed=20240, size=258)[257])
+        assert not v.consistent
+        assert len(v.graph.labels) <= 40
+
+    @pytest.mark.parametrize("n", [0, 2, 4, 8])
+    def test_thrash_family_decides_in_linear_nodes(self, n):
+        # without backjumping, n = 2 took 29,864 nodes and n = 4 over 500,000
+        v = check_consistency(parse_kb(thrash_text(n)), node_budget=10_000)
+        assert v.consistent
+        assert len(v.graph.labels) <= 150
+
+    def test_no_backjump_through_the_merged_branch(self):
+        # merging a and b makes A = B, so the merged branch dies on the
+        # clash A(c), not B(c); that core lies in the root's Abox, but is
+        # unsat only under the merged Mbox
+        kb = parse_kb("abox { A(c); not B(c); } mbox { a =m A; b =m B; }")
+        v = check_consistency(kb)
+        g = v.graph
+        merged, separated = g.children(g.root)
+        assert g.rules[g.root].rule == "close"
+        assert merged in g.unsat and g.cores[merged] <= set(g.labels[g.root].abox)
+        assert v.consistent and oracle.decide(kb).consistent
+
+    @pytest.mark.parametrize("extra, consistent", [((), True), ((neg(C),), False)])
+    def test_renumbered_child_contributes_its_whole_parent(self, extra, consistent):
+        # fresh individuals are named directly here; the engine makes them
+        # for neq.  Adding A to fresh#1 gives it the least signature, so
+        # the left child of the disjunction swaps the two names and its
+        # clash core {A(fresh#0), not A(fresh#0)} is not in the parent's
+        # names: it neither refutes the parent nor counts as its part
+        f0, f1 = "fresh#0", "fresh#1"
+        kb = KnowledgeBase.of((), [ConceptAssertion(B, f0), ConceptAssertion(neg(A), f1),
+                                   ConceptAssertion(disj(A, C), f1)]
+                              + [ConceptAssertion(c, f1) for c in extra], ())
+        v = check_consistency(kb)
+        g = v.graph
+        left = g.children(g.root)[0]
+        assert ConceptAssertion(A, f0) in g.labels[left].abox
+        assert v.consistent == consistent == oracle.decide(kb).consistent
+        for u, core in g.cores.items():
+            assert core <= set(g.labels[u].abox)
+            assert not oracle.decide(core_kb(g.labels[u], core)).consistent
 
 
 class TestUnsatNodes:
@@ -367,8 +427,20 @@ class TestGraphHygiene:
 
     def test_partial_graph_invariants(self, sample):
         verdicts = set()
+        jumps = 0
         for g in sample:
+            # The reference: the core-blind fixpoint, plus the or-nodes a
+            # child's core refuted, closed under propagation.  Each such
+            # core is checked on its own: it lies in the node's Abox, the
+            # oracle refutes it, and it is the child's core.
+            blind = unsat_nodes(replace(g, core_child={}))
+            assert blind <= set(g.unsat)
             assert unsat_nodes(g) == set(g.unsat)
+            for v, c in g.core_child.items():
+                j, core = g.labels[v], g.cores[v]
+                assert core == g.cores[c] and core <= set(j.abox)
+                assert not oracle.decide(core_kb(j, core)).consistent
+                jumps += v not in blind
             for v in g.unsat:
                 assert g.kinds[v] in ("and", "or", "bot")
             consistent = g.root not in g.unsat
@@ -377,6 +449,17 @@ class TestGraphHygiene:
                 for v in consistent_marking(g).nodes:
                     assert g.kinds[v] in ("and", "or", "end")
         assert verdicts == {True, False}
+        assert jumps > 0
+
+    def test_every_core_lies_in_its_abox_and_is_refuted(self, sample):
+        cores = 0
+        for g in sample:
+            for v, core in g.cores.items():
+                j = g.labels[v]
+                assert v in g.unsat and core <= set(j.abox)
+                assert not oracle.decide(core_kb(j, core)).consistent
+                cores += 1
+        assert cores >= 100
 
     def test_rebuilding_gives_identical_traces(self):
         for kb in corpus(seed=3, size=30):
