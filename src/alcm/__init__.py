@@ -22,6 +22,7 @@ from .engine import (
 )
 from .extraction import check_saturated, extract_model, unfold_sets
 from .inference import (
+    entails,
     entails_equality,
     entails_inequality,
     entails_instance,
@@ -43,6 +44,7 @@ __all__ = [
     "build_graph",
     "check_consistency",
     "check_saturated",
+    "entails",
     "entails_equality",
     "entails_inequality",
     "entails_instance",

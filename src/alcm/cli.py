@@ -14,16 +14,10 @@ from . import oracle
 from .engine import DEFAULT_NODE_BUDGET, RULES, check_consistency, format_trace
 from .errors import BudgetExceededError, UnknownNameError
 from .extraction import model_from_verdict
-from .inference import (
-    entails_equality,
-    entails_inequality,
-    entails_instance,
-    entails_metamodelling,
-    entails_subsumption,
-    is_meta_concept,
-)
+from .inference import entails, is_meta_concept
 from .parser import ParseError, parse_concept, parse_kb, parse_query
 from .semantics import interpretation_to_json
+from .syntax import MboxAxiom
 
 
 def budget(text: str) -> int:
@@ -116,22 +110,6 @@ def _run_check(args, kb) -> int:
     return 0 if verdict.consistent else 1
 
 
-def _run_entails(args, kb) -> int:
-    q = parse_query(args.query)
-    if q[0] == "sub":
-        answer = entails_subsumption(kb, q[1], q[2], args.budget)
-    elif q[0] == "instance":
-        answer = entails_instance(kb, q[1], q[2], args.budget)
-    elif q[0] == "eq":
-        answer = entails_equality(kb, q[1], q[2], args.budget)
-    elif q[0] == "neq":
-        answer = entails_inequality(kb, q[1], q[2], args.budget)
-    else:
-        answer = entails_metamodelling(kb, q[1], q[2], args.budget)
-    print("entailed" if answer else "not entailed")
-    return 0 if answer else 1
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -142,11 +120,10 @@ def main(argv=None) -> int:
         kb = _load_kb(args.file)
         if args.command == "check":
             return _run_check(args, kb)
-        if args.command == "entails":
-            return _run_entails(args, kb)
-        if args.command == "meta":
-            answer = entails_metamodelling(kb, args.individual,
-                                           args.concept_name, args.budget)
+        if args.command in ("entails", "meta"):
+            axiom = (parse_query(args.query) if args.command == "entails"
+                     else MboxAxiom(args.individual, args.concept_name))
+            answer = entails(kb, axiom, args.budget)
             print("entailed" if answer else "not entailed")
             return 0 if answer else 1
         answer = is_meta_concept(kb, parse_concept(args.concept), args.budget)

@@ -376,7 +376,8 @@ class AndOrGraph:
     labels: List[object] = field(default_factory=list)
     # "and" | "or" | "end" (expanded, no rule applies) | "bot" | "open" (never expanded)
     kinds: List[str] = field(default_factory=list)
-    edges: List[List[Tuple[int, object]]] = field(default_factory=list)
+    # Child id of each conclusion, in the rule's order.
+    edges: List[List[int]] = field(default_factory=list)
     rules: List[Optional[RuleApplication]] = field(default_factory=list)
     # Distinct children of each node, in edge order; set when it is expanded.
     child_ids: List[tuple] = field(default_factory=list)
@@ -499,8 +500,7 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             return
         g.rules[v] = ra
         kinds[v] = "and" if ra.connective == "and" else "or"
-        transitional = ra.rule in ("trans", "trans'")
-        for idx, concl in enumerate(ra.conclusions):
+        for concl in ra.conclusions:
             known = concl in g.nodes
             cid = g.add(concl)
             if not known:
@@ -510,16 +510,8 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
                 parents.append([])
                 if concl is ABSURDITY:
                     unsat[cid] = len(unsat)
-            if transitional:
-                p = ra.principal[idx]
-                if isinstance(p, ConceptAssertion):
-                    edge_label = (p.concept, p.individual)
-                else:
-                    edge_label = (p, None)
-            else:
-                edge_label = None
-            g.edges[v].append((cid, edge_label))
-        kids[v] = tuple(dict.fromkeys(c for c, _ in g.edges[v]))
+            g.edges[v].append(cid)
+        kids[v] = tuple(dict.fromkeys(g.edges[v]))
         for c in kids[v]:
             parents[c].append(v)
         settle(v)
@@ -571,11 +563,9 @@ def _refuted(g: AndOrGraph, v: int):
         if type(j) is not BaseJudgement:
             return None, None
         c = min(dead, key=unsat.__getitem__)
-        ra = g.rules[v]
-        e = next(ra.principal[i] for i, (cid, _) in enumerate(g.edges[v]) if cid == c)
-        return _trans_core(j, e), None
+        return _trans_core(j, g.rules[v].principal[g.edges[v].index(c)]), None
     ra = g.rules[v]
-    for (c, _), add in zip(g.edges[v], ra.added):
+    for c, add in zip(g.edges[v], ra.added):
         if add is not None and c in unsat and g.cores[c].isdisjoint(add) \
                 and not _renumbered(g.labels[v], g.labels[c], add):
             return g.cores[c], c
@@ -596,17 +586,15 @@ def _renumbered(parent: BaseJudgement, child: BaseJudgement, added) -> bool:
 def _or_core(g: AndOrGraph, v: int) -> frozenset:
     """Core of base or-node ``v``, all of whose children are unsat.
 
-    A bottom rule's core is its principal assertions, or for `bot3` the
-    assertions that make the membership cycle.  Otherwise it is the
-    principal assertions plus, for each child, the part of the child's core
-    that lies in v's Abox: its core minus what it added, or for the merged
-    branch of `close` the assertions the merge renames into its core.  The
-    whole Abox stands in for `eq`, which changes the Tbox and Mbox, and for
-    a child whose fresh individuals were renumbered.
+    For `bot3` it is the assertions that make the membership cycle.
+    Otherwise it is the principal assertions plus, for each child, the part
+    of the child's core that lies in v's Abox: its core minus what it added,
+    or for the merged branch of `close` the assertions the merge renames
+    into its core.  The absurdity child of `bot1` and `bot2` adds nothing.
+    The whole Abox stands in for `eq`, which changes the Tbox and Mbox, and
+    for a child whose fresh individuals were renumbered.
     """
     ra, j = g.rules[v], g.labels[v]
-    if ra.rule in ("bot1", "bot2"):
-        return frozenset(ra.principal)
     if ra.rule == "bot3":
         cycle = ra.principal
         meta: Dict[str, list] = {}
@@ -618,7 +606,7 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
     if ra.rule == "eq":
         return frozenset(j.abox)
     core = {p for p in ra.principal if not isinstance(p, str)}
-    for (c, _), add in zip(g.edges[v], ra.added):
+    for c, add in zip(g.edges[v], ra.added):
         if add is None:
             ren = {ra.principal[1]: ra.principal[0]}
             merged_core = g.cores[c]
@@ -847,7 +835,7 @@ def format_trace(g: AndOrGraph, verdict) -> str:
     for nid, ra in enumerate(g.rules):
         if ra is None:
             continue
-        kids = " ".join(str(c) for c, _ in g.edges[nid])
+        kids = " ".join(map(str, g.edges[nid]))
         lines.append(f"{nid} {g.kinds[nid]} {ra.rule} {_principal_to_str(ra)} -> {kids}")
     lines.append("verdict " + ("consistent" if verdict.consistent else "inconsistent"))
     return "\n".join(lines) + "\n"

@@ -65,7 +65,7 @@ def build_rgraph(g: AndOrGraph, marking: Marking):
     merges = []
     for v, w in zip(root_path, root_path[1:]):
         ra = g.rules[v]
-        if ra.rule == "close" and w == g.edges[v][0][0]:
+        if ra.rule == "close" and w == g.edges[v][0]:
             merges.append((ra.principal[0], ra.principal[1]))
     terminal_id = root_path[-1]
     terminal = g.labels[terminal_id]
@@ -90,8 +90,8 @@ def build_rgraph(g: AndOrGraph, marking: Marking):
             if c.tag != syntax.EXISTS:
                 continue
             u = node_of[x]
-            wanted = (c, x if isinstance(g.labels[u], BaseJudgement) else None)
-            w0 = next(child for child, lbl in g.edges[u] if lbl == wanted)
+            p = ConceptAssertion(c, x) if type(g.labels[u]) is BaseJudgement else c
+            w0 = g.edges[u][g.rules[u].principal.index(p)]
             spath = saturation_path(g, marking, w0)
             Y = frozenset().union(*(set(g.labels[n].concepts) for n in spath))
             y = next((n for n in delta if frozenset(labels[n]) == Y), None)
@@ -202,20 +202,6 @@ def _atoms_in_labels(rg: RGraph) -> set:
         for c in ls:
             names.update(d.name for d in syntax.subconcepts(c) if d.tag == syntax.ATOM)
     return names
-
-
-def induced_interpretation(rg: RGraph) -> Interpretation:
-    """Flat model: every element name becomes an atomic domain element."""
-    elems = {n: el_atom(n) for n in rg.delta}
-    concepts = {name: frozenset(elems[x] for x in rg.delta
-                                if syntax.atom(name) in rg.labels[x])
-                for name in sorted(_atoms_in_labels(rg))}
-    roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)
-             for r, ps in rg.edges.items()}
-    return Interpretation(domain=frozenset(elems.values()),
-                          concepts=concepts,
-                          roles=roles,
-                          individuals=dict(elems))
 
 
 def meta_order(rg: RGraph, mbox) -> set:

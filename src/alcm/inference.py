@@ -7,8 +7,11 @@ from .errors import UnknownNameError
 from .syntax import (
     Concept,
     ConceptAssertion,
+    Equal,
     KnowledgeBase,
     MboxAxiom,
+    NotEqual,
+    Subsumption,
     conj,
     equal,
     neg,
@@ -19,49 +22,62 @@ from .syntax import (
 QUERY_FRESH = "q#0"  # reserved name, unreachable from the input grammar
 
 
-def _require_individual(kb: KnowledgeBase, name: str) -> None:
-    if name not in kb.individuals():
-        raise UnknownNameError(f"individual {name!r} does not occur in the KB")
+def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """K entails the axiom iff K plus the axiom's negation is inconsistent.
+
+    The negation of C sub D is a fresh individual in C and not D; of C(a),
+    (not C)(a); of a = b, a != b and back; of a =m A, a fresh b with
+    b =m A and a != b.  Individuals the axiom names must occur in the KB.
+    """
+    mbox = ()
+    if type(axiom) is Subsumption:
+        names = ()
+        abox = [ConceptAssertion(nnf(conj(axiom.lhs, neg(axiom.rhs))), QUERY_FRESH)]
+    elif type(axiom) is ConceptAssertion:
+        names = (axiom.individual,)
+        abox = [ConceptAssertion(nnf(neg(axiom.concept)), axiom.individual)]
+    elif type(axiom) is Equal:
+        names = (axiom.left, axiom.right)
+        abox = [not_equal(axiom.left, axiom.right)]
+    elif type(axiom) is NotEqual:
+        names = (axiom.left, axiom.right)
+        abox = [equal(axiom.left, axiom.right)]
+    elif type(axiom) is MboxAxiom:
+        names = (axiom.individual,)
+        abox = [not_equal(axiom.individual, QUERY_FRESH)]
+        mbox = [MboxAxiom(QUERY_FRESH, axiom.concept_name)]
+    else:
+        raise TypeError(f"no entailment service for {type(axiom).__name__}")
+    known = kb.individuals()
+    for name in names:
+        if name not in known:
+            raise UnknownNameError(f"individual {name!r} does not occur in the KB")
+    return not check_consistency(kb.extended(abox=abox, mbox=mbox), node_budget).consistent
 
 
 def entails_instance(kb: KnowledgeBase, c: Concept, a: str,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """K entails C(a): adding (not C)(a) makes the KB inconsistent."""
-    _require_individual(kb, a)
-    extended = kb.extended(abox=[ConceptAssertion(nnf(neg(c)), a)])
-    return not check_consistency(extended, node_budget).consistent
+    return entails(kb, ConceptAssertion(c, a), node_budget)
 
 
 def entails_subsumption(kb: KnowledgeBase, c: Concept, d: Concept,
                         node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """K entails C subclassof D: a fresh individual in C and not D clashes."""
-    extended = kb.extended(abox=[ConceptAssertion(nnf(conj(c, neg(d))), QUERY_FRESH)])
-    return not check_consistency(extended, node_budget).consistent
+    return entails(kb, Subsumption(c, d), node_budget)
 
 
 def entails_equality(kb: KnowledgeBase, a: str, b: str,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    _require_individual(kb, a)
-    _require_individual(kb, b)
-    extended = kb.extended(abox=[not_equal(a, b)])
-    return not check_consistency(extended, node_budget).consistent
+    return entails(kb, equal(a, b), node_budget)
 
 
 def entails_inequality(kb: KnowledgeBase, a: str, b: str,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    _require_individual(kb, a)
-    _require_individual(kb, b)
-    extended = kb.extended(abox=[equal(a, b)])
-    return not check_consistency(extended, node_budget).consistent
+    return entails(kb, not_equal(a, b), node_budget)
 
 
 def entails_metamodelling(kb: KnowledgeBase, a: str, concept_name: str,
                           node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """K entails a =m A: forcing a fresh b with b =m A and a != b clashes."""
-    _require_individual(kb, a)
-    extended = kb.extended(abox=[not_equal(a, QUERY_FRESH)],
-                           mbox=[MboxAxiom(QUERY_FRESH, concept_name)])
-    return not check_consistency(extended, node_budget).consistent
+    return entails(kb, MboxAxiom(a, concept_name), node_budget)
 
 
 def is_meta_concept(kb: KnowledgeBase, c: Concept,

@@ -263,7 +263,10 @@ class _Parser:
                 b = self.expect_name("role assertion")
                 self.expect(")", "role assertion")
                 return RoleAssertion(role, a, b)
-        c = self.concept()
+        return self.concept_assertion(self.concept())
+
+    def concept_assertion(self, c):
+        """The "(" IND ")" that makes concept ``c`` an assertion."""
         self.expect("(", "concept assertion")
         a = self.expect_name("concept assertion")
         self.expect(")", "concept assertion")
@@ -293,55 +296,39 @@ def parse_concept(text: str):
     return c
 
 
-def parse_query(text: str) -> tuple:
-    """Parse the query micro-syntax used by `alcm entails`.
+def parse_query(text: str):
+    """Parse the query of `alcm entails` into the axiom it asks about.
 
-    Returns one of:
-      ("sub", C, D)    C sub D
-      ("instance", C, a)   C(a)
-      ("eq", a, b)     a = b
-      ("neq", a, b)    a != b
-      ("meta", a, A)   a =m A
-
-    Errors name their origin "query".
+    `C sub D` gives a `Subsumption`; `C(a)`, `a = b` and `a != b` the Abox
+    assertion and `a =m A` the `MboxAxiom` that `parse_kb` reads from the
+    same text.  Errors name their origin "query".
     """
     p = _Parser(text, "query")
     t0, t1 = p.peek(0), p.peek(1)
-    if t0.kind == "ident" and t0.text not in KEYWORDS and t1.kind in ("=", "!=", "=m"):
-        a = p.advance().text
-        op = p.advance()
-        if op.kind == "=m":
-            t = p.peek()
-            if t.kind != "ident" or t.text in KEYWORDS:
-                p.error("meta-modelling query needs an atomic concept name",
-                        expected="a concept name")
-            b = p.advance().text
-            kind = "meta"
-        else:
-            b = p.expect_name("query")
-            kind = "eq" if op.kind == "=" else "neq"
-        if p.peek().kind != "eof":
-            p.error("trailing input after query")
-        return (kind, a, b)
-    if (t0.kind == "ident" and t0.text not in KEYWORDS and t1.kind == "("
-            and p.peek(2).kind == "ident" and p.peek(3).kind == ","):
+    named = t0.kind == "ident" and t0.text not in KEYWORDS
+    if named and t1.kind == "=m":
+        axiom = p.mbox_axiom()
+    elif named and t1.kind in ("=", "!="):
+        p.pos = 2
+        p.expect_name("query")  # a missing right-hand name makes the query malformed
+        p.pos = 0
+        axiom = p.abox_assertion()
+    elif named and t1.kind == "(" and p.peek(2).kind == "ident" and p.peek(3).kind == ",":
         p.error("role assertion queries are not supported")
-    c = p.concept()
-    t = p.peek()
-    if t.kind == "(":
-        p.advance()
-        a = p.expect_name("instance query")
-        p.expect(")", "instance query")
-        if p.peek().kind != "eof":
-            p.error("trailing input after query")
-        return ("instance", c, a)
-    if t.kind == "ident" and t.text == "sub":
-        p.advance()
-        d = p.concept()
-        if p.peek().kind != "eof":
-            p.error("trailing input after query")
-        return ("sub", c, d)
-    p.error("malformed query", expected="'sub', '(individual)', '=', '!=' or '=m'")
+    else:
+        c = p.concept()
+        t = p.peek()
+        if t.kind == "(":
+            axiom = p.concept_assertion(c)
+        elif t.kind == "ident" and t.text == "sub":
+            p.advance()
+            axiom = Subsumption(c, p.concept())
+        else:
+            p.error("malformed query",
+                    expected="'sub', '(individual)', '=', '!=' or '=m'")
+    if p.peek().kind != "eof":
+        p.error("trailing input after query")
+    return axiom
 
 
 # --------------------------------------------------------------------------

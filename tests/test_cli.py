@@ -10,7 +10,7 @@ import pytest
 import alcm
 from alcm.cli import main
 
-from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_TEXT, thrash_text
+from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_INDIVIDUALS, HYDRO_TEXT, thrash_text
 
 
 @pytest.fixture()
@@ -153,6 +153,15 @@ class TestQueries:
     def test_meta(self, hydro_file):
         assert main(["meta", hydro_file, "river", "River"]) == 0
         assert main(["meta", hydro_file, "queguay", "River"]) == 1
+
+    def test_meta_is_the_mbox_query(self, hydro_file):
+        codes = set()
+        for a in HYDRO_INDIVIDUALS:
+            for name in ("HydrographicObject", "Lake", "River"):
+                code = main(["meta", hydro_file, a, name])
+                assert main(["entails", hydro_file, f"{a} =m {name}"]) == code
+                codes.add(code)
+        assert codes == {0, 1}
 
     def test_query_budget_exhaustion(self, hydro_file):
         assert main(["entails", hydro_file, "River sub not Lake",

@@ -416,14 +416,17 @@ class TestGraphHygiene:
                 assert again.principal == ra.principal
                 assert again.conclusions == ra.conclusions
 
-    def test_transitional_edges_carry_labels_and_static_edges_do_not(self, sample):
+    def test_each_edge_leads_to_its_conclusion(self, sample):
         for g in sample:
             for u, ra in enumerate(g.rules):
                 if ra is None:
                     continue
-                labelled = ra.rule in ("trans", "trans'")
-                for (_, lbl) in g.edges[u]:
-                    assert (lbl is not None) == labelled
+                assert len(g.edges[u]) == len(ra.conclusions)
+                for i in range(len(ra.conclusions)):
+                    assert g.labels[g.edges[u][i]] == ra.conclusions[i]
+                if ra.rule in ("trans", "trans'"):
+                    # the i-th existential's successor is the i-th conclusion
+                    assert len(ra.principal) == len(ra.conclusions)
 
     def test_partial_graph_invariants(self, sample):
         verdicts = set()

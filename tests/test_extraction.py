@@ -9,7 +9,6 @@ from alcm.extraction import (
     build_rgraph,
     check_saturated,
     extract_model,
-    induced_interpretation,
     meta_order,
     model_from_verdict,
     saturation_path,
@@ -168,19 +167,19 @@ class TestInducedInterpretation:
         )
 
     def test_concept_extensions_from_labels(self):
-        interp = induced_interpretation(self.idealized_canonical_rgraph())
+        interp = unfold_sets(self.idealized_canonical_rgraph(), ())
         assert interp.concepts["A"] == {el_atom("c"), el_atom("d")}
         assert interp.concepts["B"] == {el_atom("a")}
 
     def test_empty_labels_empty_extensions(self):
         rg = RGraph(delta=("x",), labels={"x": frozenset()}, edges={})
-        interp = induced_interpretation(rg)
+        interp = unfold_sets(rg, ())
         assert all(not ext for ext in interp.concepts.values())
 
     def test_labelled_concepts_hold_at_their_elements(self, hydro_kb):
         v = check_consistency(hydro_kb)
         rg, _, _ = build_rgraph(v.graph, v.marking)
-        interp = induced_interpretation(rg)
+        interp = unfold_sets(rg, ())
         for x in rg.delta:
             for c in rg.labels[x]:
                 assert el_atom(x) in extension(interp, c)
@@ -212,7 +211,7 @@ class TestInducedInterpretation:
             if not v.consistent:
                 continue
             rg, terminal, _ = build_rgraph(v.graph, v.marking)
-            interp = induced_interpretation(rg)
+            interp = unfold_sets(rg, ())
             concept_of = {m.individual: m.concept_name for m in sorted(terminal.mbox)}
             names = sorted(concept_of)
             for i, a in enumerate(names):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from alcm import inference
 from alcm.errors import UnknownNameError
 from alcm.extraction import extract_model
 from alcm.inference import (
+    entails,
     entails_equality,
     entails_inequality,
     entails_instance,
@@ -14,7 +16,53 @@ from alcm.inference import (
 )
 from alcm.parser import parse_kb
 from alcm.semantics import el_set
-from alcm.syntax import MboxAxiom, atom, bot, neg, not_equal, top
+from alcm.syntax import (
+    ConceptAssertion,
+    Equivalence,
+    MboxAxiom,
+    RoleAssertion,
+    Subsumption,
+    atom,
+    bot,
+    equal,
+    neg,
+    not_equal,
+    top,
+)
+
+
+class TestEntails:
+    def test_each_axiom_kind(self, hydro_kb):
+        River, Lake = atom("River"), atom("Lake")
+        assert entails(hydro_kb, Subsumption(River, neg(Lake)))
+        assert not entails(hydro_kb, Subsumption(River, Lake))
+        assert entails(hydro_kb, ConceptAssertion(River, "queguay"))
+        assert not entails(hydro_kb, ConceptAssertion(Lake, "queguay"))
+        assert entails(hydro_kb, not_equal("river", "lake"))
+        assert not entails(hydro_kb, equal("river", "lake"))
+        assert entails(hydro_kb, MboxAxiom("river", "River"))
+        assert not entails(hydro_kb, MboxAxiom("queguay", "River"))
+
+    def test_one_consistency_call_per_query(self, hydro_kb, monkeypatch):
+        calls = []
+        check = inference.check_consistency
+        monkeypatch.setattr(inference, "check_consistency",
+                            lambda kb, budget: calls.append(kb) or check(kb, budget))
+        entails_equality(hydro_kb, "river", "lake")
+        entails_metamodelling(hydro_kb, "queguay", "River")
+        assert len(calls) == 2
+
+    def test_other_records_are_refused(self, hydro_kb):
+        River, Lake = atom("River"), atom("Lake")
+        for axiom in (RoleAssertion("R", "river", "lake"), Equivalence(River, Lake)):
+            with pytest.raises(TypeError):
+                entails(hydro_kb, axiom)
+
+    def test_every_named_individual_must_occur(self, hydro_kb):
+        for axiom in (equal("river", "nosuch"), not_equal("nosuch", "river"),
+                      ConceptAssertion(top(), "nosuch"), MboxAxiom("nosuch", "River")):
+            with pytest.raises(UnknownNameError):
+                entails(hydro_kb, axiom)
 
 
 class TestMetamodellingQueries:

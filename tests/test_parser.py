@@ -136,15 +136,27 @@ def test_concept_print_parse_roundtrip(c):
 
 class TestParseQuery:
     def test_forms(self):
-        assert parse_query("River sub not Lake") == ("sub", atom("River"), neg(atom("Lake")))
-        assert parse_query("River(queguay)") == ("instance", atom("River"), "queguay")
-        assert parse_query("a = b") == ("eq", "a", "b")
-        assert parse_query("a != b") == ("neq", "a", "b")
-        assert parse_query("river =m River") == ("meta", "river", "River")
+        assert parse_query("River sub not Lake") == Subsumption(atom("River"), neg(atom("Lake")))
+        assert parse_query("River(queguay)") == ConceptAssertion(atom("River"), "queguay")
+        assert parse_query("a = b") == Equal("a", "b")
+        assert parse_query("a != b") == NotEqual("a", "b")
+        assert parse_query("river =m River") == MboxAxiom("river", "River")
 
     def test_compound_instance(self):
         q = parse_query("(River or Lake)(x)")
-        assert q == ("instance", disj(atom("River"), atom("Lake")), "x")
+        assert q == ConceptAssertion(disj(atom("River"), atom("Lake")), "x")
+
+    @pytest.mark.parametrize("query, kb_text", [
+        ("(River or not Lake)(x)", "abox { (River or not Lake)(x); }"),
+        ("b = a", "abox { b = a; }"),
+        ("b != a", "abox { b != a; }"),
+        ("river =m River", "mbox { river =m River; }"),
+        ("exists R . C sub D and E", "tbox { exists R . C subclassof D and E; }"),
+    ])
+    def test_a_query_is_the_axiom_a_kb_reads(self, query, kb_text):
+        kb = parse_kb(kb_text)
+        (axiom,) = kb.tbox | kb.abox | kb.mbox
+        assert parse_query(query) == axiom
 
     def test_role_queries_rejected(self):
         with pytest.raises(ParseError):
