@@ -1,9 +1,27 @@
-"""Entailment services, each reduced to a consistency check."""
+"""Entailment services, each reduced to a consistency check.
+
+K entails an axiom iff K plus the axiom's negation is inconsistent, and
+`entails` decides that with one call to the engine.  When that call finds
+the extended KB consistent, its model is also a model of K.  `entails`
+keeps such verdicts in a session for the last KB it was asked about: one
+slot, matched by KB equality.  A later query on an equal KB is first
+evaluated in their models.  If one of them satisfies the query's negation,
+the extended KB is consistent, so the answer is "not entailed" and no
+tableau call is made.  A verdict becomes a model only when a query first
+needs it, so a one-off query pays nothing for the session, and a model is
+kept only if `semantics.satisfies_kb` confirms it satisfies K.  An
+"entailed" answer always comes from a tableau call; a query that would run
+out of the node budget may be answered "not entailed" from a model.
+"""
 
 from __future__ import annotations
 
+import threading
+
 from .engine import DEFAULT_NODE_BUDGET, check_consistency
 from .errors import UnknownNameError
+from .extraction import model_from_verdict
+from .semantics import Interpretation, el_set, holds, satisfies_kb
 from .syntax import (
     Concept,
     ConceptAssertion,
@@ -22,12 +40,60 @@ from .syntax import (
 QUERY_FRESH = "q#0"  # reserved name, unreachable from the input grammar
 
 
+class _Session:
+    """Models of one KB, from the consistent verdicts of its earlier queries.
+
+    It holds one model per query that no model before it had refuted.  A
+    query that makes a tableau call has first turned every waiting verdict
+    into a model, so only one verdict waits unless queries run concurrently.
+    """
+
+    def __init__(self, kb):
+        self.kb = kb
+        self.verdicts = []  # consistent verdicts not yet turned into models
+        self.models = []
+
+    def falsifies(self, axiom) -> bool:
+        """Some model of the KB kept here satisfies the axiom's negation,
+        which refutes the axiom."""
+        if any(_negation_holds(m, axiom) for m in self.models):
+            return True
+        while self.verdicts:
+            m = model_from_verdict(self.kb, self.verdicts.pop(0))
+            if not satisfies_kb(m, self.kb):  # keep no model that extraction got wrong
+                continue
+            self.models.append(m)
+            if _negation_holds(m, axiom):
+                return True
+        return False
+
+
+def _negation_holds(m: Interpretation, axiom) -> bool:
+    """The model, extended by a fresh individual where the negation has one,
+    satisfies the axiom's negation.
+
+    The negation of a =m A needs an element equal to A's extension, and a
+    model that falsifies a =m A need not have one: when the KB forces A to
+    hold of every element, no element can be that set.
+    """
+    if type(axiom) is MboxAxiom:
+        wanted = el_set(m.concepts.get(axiom.concept_name, ()))
+        return wanted in m.domain and m.individuals[axiom.individual] is not wanted
+    return not holds(m, axiom)
+
+
+_session = _Session(None)
+_session_lock = threading.Lock()  # guards _session and the lists it holds
+
+
 def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """K entails the axiom iff K plus the axiom's negation is inconsistent.
 
     The negation of C sub D is a fresh individual in C and not D; of C(a),
     (not C)(a); of a = b, a != b and back; of a =m A, a fresh b with
     b =m A and a != b.  Individuals the axiom names must occur in the KB.
+    A query on the KB of the previous one is first evaluated in the models
+    that the earlier queries on it found (see the module docstring).
     """
     mbox = ()
     if type(axiom) is Subsumption:
@@ -52,7 +118,19 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
     for name in names:
         if name not in known:
             raise UnknownNameError(f"individual {name!r} does not occur in the KB")
-    return not check_consistency(kb.extended(abox=abox, mbox=mbox), node_budget).consistent
+    global _session
+    with _session_lock:
+        if _session.kb != kb:
+            _session = _Session(kb)
+        session = _session
+        if session.falsifies(axiom):
+            return False
+    verdict = check_consistency(kb.extended(abox=abox, mbox=mbox), node_budget)
+    if not verdict.consistent:
+        return True
+    with _session_lock:
+        session.verdicts.append(verdict)
+    return False
 
 
 def entails_instance(kb: KnowledgeBase, c: Concept, a: str,

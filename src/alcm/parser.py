@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .syntax import (
     ConceptAssertion,
-    Equal,
     Equivalence,
     KnowledgeBase,
     MboxAxiom,

@@ -17,7 +17,9 @@ from .syntax import (
     Concept,
     ConceptAssertion,
     Equal,
+    Equivalence,
     KnowledgeBase,
+    MboxAxiom,
     RoleAssertion,
     Subsumption,
     assertion_key,
@@ -119,6 +121,27 @@ def extension(interp: Interpretation, c: Concept) -> frozenset:
     return frozenset(out)
 
 
+def holds(interp: Interpretation, ax) -> bool:
+    """The interpretation satisfies one Mbox, Tbox or Abox axiom.
+
+    Raises KeyError when the axiom names an individual the interpretation
+    does not map.
+    """
+    ind = interp.individuals
+    if isinstance(ax, MboxAxiom):
+        return ind[ax.individual] is el_set(interp.concepts.get(ax.concept_name, frozenset()))
+    if isinstance(ax, (Subsumption, Equivalence)):
+        le, re = extension(interp, ax.lhs), extension(interp, ax.rhs)
+        return le <= re if isinstance(ax, Subsumption) else le == re
+    if isinstance(ax, ConceptAssertion):
+        return ind[ax.individual] in extension(interp, ax.concept)
+    if isinstance(ax, RoleAssertion):
+        return (ind[ax.subject], ind[ax.object]) in interp.roles.get(ax.role, frozenset())
+    if isinstance(ax, Equal):
+        return ind[ax.left] is ind[ax.right]
+    return ind[ax.left] is not ind[ax.right]
+
+
 def find_violation(interp: Interpretation, kb: KnowledgeBase):
     """First axiom of the KB that the interpretation fails, or None.
 
@@ -126,31 +149,11 @@ def find_violation(interp: Interpretation, kb: KnowledgeBase):
     Tbox, Abox).  Raises KeyError when an assertion mentions an individual
     the interpretation does not map.
     """
-    ind = interp.individuals
-    for m in sorted(kb.mbox):
-        wanted = el_set(interp.concepts.get(m.concept_name, frozenset()))
-        if ind[m.individual] is not wanted:
-            return m
-    for ax in sorted(kb.tbox, key=tbox_axiom_key):
-        le, re = extension(interp, ax.lhs), extension(interp, ax.rhs)
-        if isinstance(ax, Subsumption):
-            if not le <= re:
+    for axioms in (sorted(kb.mbox), sorted(kb.tbox, key=tbox_axiom_key),
+                   sorted(kb.abox, key=assertion_key)):
+        for ax in axioms:
+            if not holds(interp, ax):
                 return ax
-        elif le != re:
-            return ax
-    for a in sorted(kb.abox, key=assertion_key):
-        if isinstance(a, ConceptAssertion):
-            if ind[a.individual] not in extension(interp, a.concept):
-                return a
-        elif isinstance(a, RoleAssertion):
-            if (ind[a.subject], ind[a.object]) not in interp.roles.get(a.role, frozenset()):
-                return a
-        elif isinstance(a, Equal):
-            if ind[a.left] is not ind[a.right]:
-                return a
-        else:
-            if ind[a.left] is ind[a.right]:
-                return a
     return None
 
 

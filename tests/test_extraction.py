@@ -22,7 +22,6 @@ from alcm.syntax import (
     atom,
     conj,
     disj,
-    exists,
     forall,
     neg,
     not_equal,

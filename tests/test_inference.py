@@ -1,9 +1,16 @@
 """Entailment services and their reductions to consistency."""
 
+import importlib.util
+import random
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
-from alcm import inference
-from alcm.errors import UnknownNameError
+from alcm import inference, oracle, syntax
+from alcm.engine import DEFAULT_NODE_BUDGET
+from alcm.errors import BudgetExceededError, UnknownNameError
 from alcm.extraction import extract_model
 from alcm.inference import (
     entails,
@@ -15,20 +22,37 @@ from alcm.inference import (
     is_meta_concept,
 )
 from alcm.parser import parse_kb
-from alcm.semantics import el_set
+from alcm.randomkb import corpus
+from alcm.semantics import el_set, satisfies_kb
 from alcm.syntax import (
     ConceptAssertion,
+    Equal,
     Equivalence,
     MboxAxiom,
+    NotEqual,
     RoleAssertion,
     Subsumption,
     atom,
     bot,
+    conj,
     equal,
     neg,
+    nnf,
     not_equal,
     top,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+# Oracle steps per refereed query: the acceptance suite's 150,000 take
+# seconds on a few reductions of KBs #17 and #25; those few go unrefereed.
+ORACLE_BUDGET = 10_000
+FRESH = "t#0"
+
+SESSION_TEXT = """
+tbox { Dam subclassof Wall; }
+abox { Dam(itaipu); Wall(hadrian); }
+mbox { dam =m Dam; }
+"""
 
 
 class TestEntails:
@@ -43,14 +67,56 @@ class TestEntails:
         assert entails(hydro_kb, MboxAxiom("river", "River"))
         assert not entails(hydro_kb, MboxAxiom("queguay", "River"))
 
-    def test_one_consistency_call_per_query(self, hydro_kb, monkeypatch):
+    def test_at_most_one_call_and_none_for_a_query_a_kept_model_falsifies(self, monkeypatch):
         calls = []
         check = inference.check_consistency
         monkeypatch.setattr(inference, "check_consistency",
                             lambda kb, budget: calls.append(kb) or check(kb, budget))
-        entails_equality(hydro_kb, "river", "lake")
-        entails_metamodelling(hydro_kb, "queguay", "River")
-        assert len(calls) == 2
+
+        def asked(kb, axiom, budget=DEFAULT_NODE_BUDGET):
+            before = len(calls)
+            return entails(kb, axiom, budget), len(calls) - before
+
+        Dam, Wall, River = atom("Dam"), atom("Wall"), atom("River")
+        # A non-entailed axiom, then one that every model falsifying it
+        # falsifies too.
+        refuted = [
+            (Subsumption(Wall, Dam), Subsumption(Wall, conj(Dam, River))),
+            (ConceptAssertion(Dam, "hadrian"), ConceptAssertion(conj(River, Dam), "hadrian")),
+            (equal("hadrian", "itaipu"), equal("hadrian", "itaipu")),
+            (not_equal("dam", "hadrian"), not_equal("dam", "hadrian")),
+            (MboxAxiom("hadrian", "Dam"), MboxAxiom("hadrian", "Dam")),
+        ]
+        entailed = [Subsumption(Dam, Wall), ConceptAssertion(Wall, "itaipu"),
+                    MboxAxiom("dam", "Dam")]
+        # Each case starts on a KB no other query has seen, so on an empty session.
+        for i, (axiom, weaker) in enumerate(refuted):
+            kb = parse_kb(SESSION_TEXT + f"abox {{ Wall(w{i}); }}")
+            assert asked(kb, axiom) == (False, 1)
+            assert asked(kb, axiom) == (False, 0)
+            assert asked(kb, weaker) == (False, 0)
+            # the model answers where the tableau would run out of budget
+            assert asked(kb, weaker, 1) == (False, 0)
+            with pytest.raises(BudgetExceededError):
+                entails(kb, entailed[0], 1)
+        kb = parse_kb(SESSION_TEXT + "abox { Wall(w); }")
+        assert asked(kb, refuted[0][0]) == (False, 1)
+        for axiom in entailed:
+            assert asked(kb, axiom) == (True, 1)
+            assert asked(kb, axiom) == (True, 1)
+
+    def test_a_model_without_the_set_an_mbox_query_needs_refutes_nothing(self):
+        # KB #46 of seed 20240 forces A onto every element, so no element can
+        # equal A's extension: K plus b != q, q =m A is inconsistent, and
+        # b =m A is entailed even though b differs from that set in a model.
+        kb = parse_kb("""
+            tbox { B subclassof exists R . C and A; not B and not A subclassof B; }
+            abox { not C(b); B or not (C or A)(b); S(c, a); }
+            mbox { a =m B; b =m D; }
+        """)
+        assert not entails(kb, ConceptAssertion(atom("C"), "c"))
+        assert not inference._session.falsifies(MboxAxiom("b", "A"))
+        assert entails(kb, MboxAxiom("b", "A"))
 
     def test_other_records_are_refused(self, hydro_kb):
         River, Lake = atom("River"), atom("Lake")
@@ -166,3 +232,132 @@ class TestEqualityTransference:
         assert entails_subsumption(kb, atom("A"), atom("B"))
         assert entails_subsumption(kb, atom("B"), atom("A"))
         assert entails_equality(kb, "a", "b")
+
+
+def hydro_battery(kb, monkeypatch):
+    """(service, arguments) of the 75 queries of the benchmark's hydro-queries
+    workload, built by the benchmark's own `workloads.hydro_battery`."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return [(getattr(inference, workloads.QUERY_SERVICES[q[0]]), q[1:])
+            for q in workloads.hydro_battery(syntax, kb)]
+
+
+def reduction(kb, axiom):
+    """K plus the axiom's negation, built here and not by alcm.inference."""
+    if isinstance(axiom, Subsumption):
+        return kb.extended(abox=[ConceptAssertion(nnf(conj(axiom.lhs, neg(axiom.rhs))), FRESH)])
+    if isinstance(axiom, ConceptAssertion):
+        return kb.extended(abox=[ConceptAssertion(nnf(neg(axiom.concept)), axiom.individual)])
+    if isinstance(axiom, Equal):
+        return kb.extended(abox=[not_equal(axiom.left, axiom.right)])
+    if isinstance(axiom, NotEqual):
+        return kb.extended(abox=[equal(axiom.left, axiom.right)])
+    return kb.extended(abox=[not_equal(axiom.individual, FRESH)],
+                       mbox=[MboxAxiom(FRESH, axiom.concept_name)])
+
+
+class TestSessionAgreement:
+    """Answers through one session equal those of a fresh session per query,
+    and of the oracle; every model a session keeps satisfies its KB."""
+
+    @staticmethod
+    def fresh_session(monkeypatch):
+        monkeypatch.setattr(inference, "_session", inference._Session(None))
+
+    @staticmethod
+    def kept_models(kb):
+        """Every model the session holds for kb, its kept verdicts extracted."""
+        session = inference._session
+        assert session.kb == kb
+        # bot sub top holds in every model, so every kept verdict is extracted
+        assert not session.falsifies(Subsumption(bot(), top()))
+        assert not session.verdicts
+        return session.models
+
+    def test_hydro_battery_in_any_order(self, monkeypatch):
+        kb = parse_kb((ROOT / "demos" / "hydrography.alcm").read_text(encoding="utf-8"))
+        battery = hydro_battery(kb, monkeypatch)
+        assert len(battery) == 75
+        expected = []
+        for service, args in battery:
+            self.fresh_session(monkeypatch)
+            expected.append(service(kb, *args))
+        assert 0 < sum(expected) < len(expected)
+        for seed in (1, 2, 3):
+            order = list(range(len(battery)))
+            random.Random(seed).shuffle(order)
+            self.fresh_session(monkeypatch)
+            got = {i: battery[i][0](kb, *battery[i][1]) for i in order}
+            assert [got[i] for i in range(len(battery))] == expected
+            models = self.kept_models(kb)
+            assert models and all(satisfies_kb(m, kb) for m in models)
+
+    def test_corpus_queries_agree_with_the_oracle(self, monkeypatch):
+        calls = []
+        check = inference.check_consistency
+        monkeypatch.setattr(inference, "check_consistency",
+                            lambda kb, budget: calls.append(kb) or check(kb, budget))
+        rng = random.Random(50)
+        asked = answered_from_models = unrefereed = 0
+        for kb in corpus(seed=20240, size=50):
+            inds = kb.individuals()
+            concepts = sorted(kb.mbox_range() | {"A", "B"})
+            queries = [ConceptAssertion(rng.choice([atom(c), neg(atom(c))]), rng.choice(inds))
+                       for c in rng.sample(concepts, 2)]
+            queries += [MboxAxiom(rng.choice(inds), c) for c in rng.sample(concepts, 2)]
+            queries.append(Subsumption(atom(concepts[0]), atom(concepts[-1])))
+            if len(inds) > 1:
+                a, b = rng.sample(inds, 2)
+                queries += [equal(a, b), not_equal(a, b)]
+            for axiom in queries:
+                before = len(calls)
+                got = entails(kb, axiom)
+                asked += 1
+                answered_from_models += len(calls) == before
+                try:
+                    want = not oracle.decide(reduction(kb, axiom), ORACLE_BUDGET).consistent
+                except BudgetExceededError:
+                    unrefereed += 1
+                    continue
+                assert got == want, (kb, axiom)
+            assert all(satisfies_kb(m, kb) for m in self.kept_models(kb))
+        assert asked > 300 and answered_from_models > asked // 10 and unrefereed < 10
+
+    def test_threads_sharing_the_session(self, hydro_kb, monkeypatch):
+        # Two KBs asked in turn by more threads than cores: the one session
+        # slot changes hands all the time, and no answer may change with it.
+        kbs = (hydro_kb,
+               hydro_kb.extended(tbox=[Subsumption(atom("River"), atom("HydrographicObject"))]))
+        battery = [(kb, service, args) for kb in kbs
+                   for service, args in hydro_battery(hydro_kb, monkeypatch)]
+        expected = []
+        for kb, service, args in battery:
+            self.fresh_session(monkeypatch)
+            expected.append(service(kb, *args))
+        results, errors = {}, []
+
+        def ask(seed):
+            order = list(range(len(battery)))
+            random.Random(seed).shuffle(order)
+            try:
+                results[seed] = {i: battery[i][1](battery[i][0], *battery[i][2]) for i in order}
+            except Exception as e:  # reported by the main thread
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        for got in results.values():
+            assert [got[i] for i in range(len(battery))] == expected

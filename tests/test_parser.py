@@ -1,7 +1,5 @@
 """Text format: grammar, precedence, errors, round-trips."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
