@@ -3,8 +3,11 @@
 A node label is either a base judgement (Tbox, Abox, Mbox), a variable
 judgement (Tbox plus a concept set standing for one anonymous element), or
 absurdity.  Every label is kept in canonical form - sorted tuples, merged
-equalities, renumbered fresh individuals - so the global cache maps each
-label to exactly one node.  Expansion order, rule choice and tie-breaking
+equalities - so the global cache maps each label to exactly one node.
+Fresh individuals keep the names they are made with: `neq` makes one only
+for a difference witness no individual carries yet, so a label holds at
+most one per ordered pair of Mbox concept names, and the set of labels
+stays finite without renaming.  Expansion order, rule choice and tie-breaking
 are all fixed by the structural total orders, which makes graphs, verdicts
 and traces reproducible byte for byte.
 """
@@ -118,46 +121,20 @@ def make_base(tbox, abox, mbox) -> BaseJudgement:
         if isinstance(a, Equal):
             raise ValueError("base judgements never carry equality assertions")
     return BaseJudgement(tuple(sorted(set(tbox), key=lambda c: c.key)),
-                         _canonical_fresh(sorted(abox, key=assertion_key)),
+                         tuple(sorted(abox, key=assertion_key)),
                          tuple(sorted(set(mbox))))
 
 
 def _extend(j: BaseJudgement, adds) -> BaseJudgement:
-    """``make_base(j.tbox, set(j.abox) | adds, j.mbox)``, derived from j.
-
-    The new assertions are inserted into j's sorted Abox and j's Tbox and
-    Mbox tuples are reused.  j is canonical, so fresh individuals can only
-    need renumbering when an added assertion is about one.
-    """
+    """``make_base(j.tbox, set(j.abox) | adds, j.mbox)``, derived from j:
+    the new assertions are inserted into j's sorted Abox, and j's Tbox and
+    Mbox tuples are reused."""
     abox = list(j.abox)
-    touches_fresh = False
     for a in adds:
         i = bisect_left(abox, assertion_key(a), key=assertion_key)
         if i == len(abox) or abox[i] != a:
             abox.insert(i, a)
-            touches_fresh = touches_fresh or (
-                type(a) is ConceptAssertion and a.individual.startswith(FRESH_PREFIX))
-    return BaseJudgement(j.tbox, _canonical_fresh(abox) if touches_fresh else tuple(abox),
-                         j.mbox)
-
-
-def _canonical_fresh(abox: list) -> tuple:
-    """Renumber fresh individuals so alpha-equivalent labels cache-hit.
-
-    ``abox`` is sorted by `assertion_key`; so is the result.  Fresh
-    individuals only ever occur in concept assertions, so the multiset of
-    concepts asserted about one is a complete signature for it, and one
-    pass over the sorted Abox lists each signature in order.
-    """
-    sig: Dict[str, list] = {}
-    for a in abox:
-        if type(a) is ConceptAssertion and a.individual.startswith(FRESH_PREFIX):
-            sig.setdefault(a.individual, []).append(a.concept.key)
-    order = sorted(sig, key=lambda f: (sig[f], f))
-    ren = {f: f"{FRESH_PREFIX}{i}" for i, f in enumerate(order)}
-    if all(k == v for k, v in ren.items()):
-        return tuple(abox)
-    return tuple(sorted(rename_abox(abox, ren), key=assertion_key))
+    return BaseJudgement(j.tbox, tuple(abox), j.mbox)
 
 
 @dataclass(frozen=True)
@@ -549,8 +526,8 @@ def _refuted(g: AndOrGraph, v: int):
 
     ``core`` is v's core, or None for a variable judgement.  ``by`` is the
     child whose core alone refutes or-node ``v`` (a backjump), else None.
-    A backjump needs a child that adds assertions to v's Abox under v's
-    Tbox and Mbox: if its core avoids what it added, that core lies inside
+    A backjump needs a child whose label is v's plus the assertions the
+    rule added (``ra.added``): if its core avoids those, it lies inside
     v's Abox.  The merged branch of `close` never qualifies, since its
     core is unsat only under the merged Mbox.
     """
@@ -566,21 +543,11 @@ def _refuted(g: AndOrGraph, v: int):
         return _trans_core(j, g.rules[v].principal[g.edges[v].index(c)]), None
     ra = g.rules[v]
     for c, add in zip(g.edges[v], ra.added):
-        if add is not None and c in unsat and g.cores[c].isdisjoint(add) \
-                and not _renumbered(g.labels[v], g.labels[c], add):
+        if add is not None and c in unsat and g.cores[c].isdisjoint(add):
             return g.cores[c], c
     if not all(c in unsat for c in kids):
         return None
     return (_or_core(g, v) if type(g.labels[v]) is BaseJudgement else None), None
-
-
-def _renumbered(parent: BaseJudgement, child: BaseJudgement, added) -> bool:
-    """Whether `_extend` renamed fresh individuals to make ``child``, so its
-    Abox is not ``parent``'s plus ``added`` under the parent's names."""
-    if not any(type(a) is ConceptAssertion and a.individual.startswith(FRESH_PREFIX)
-               for a in added):
-        return False
-    return set(child.abox) != set(parent.abox).union(added)
 
 
 def _or_core(g: AndOrGraph, v: int) -> frozenset:
@@ -591,8 +558,7 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
     of the child's core that lies in v's Abox: its core minus what it added,
     or for the merged branch of `close` the assertions the merge renames
     into its core.  The absurdity child of `bot1` and `bot2` adds nothing.
-    The whole Abox stands in for `eq`, which changes the Tbox and Mbox, and
-    for a child whose fresh individuals were renumbered.
+    The whole Abox stands in for `eq`, which changes the Tbox and Mbox.
     """
     ra, j = g.rules[v], g.labels[v]
     if ra.rule == "bot3":
@@ -612,8 +578,6 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
             merged_core = g.cores[c]
             core.update(a for a in j.abox
                         if not merged_core.isdisjoint(rename_abox((a,), ren)))
-        elif _renumbered(j, g.labels[c], add):
-            return frozenset(j.abox)
         else:
             core.update(g.cores[c].difference(add))
     return frozenset(core)

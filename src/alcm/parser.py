@@ -50,8 +50,6 @@ KEYWORDS = frozenset({
     "top", "bot", "subclassof", "equiv",
 })
 
-_PUNCT = {"{", "}", "(", ")", ";", ".", ",", "=", "!=", "=m"}
-
 
 class ParseError(Exception):
     """A syntax error at ``origin:line:column`` (origin names the input:
