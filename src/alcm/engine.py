@@ -29,7 +29,6 @@ from .syntax import (
     KnowledgeBase,
     NotEqual,
     RoleAssertion,
-    abox_individuals,
     assertion_key,
     assertion_to_str,
     atom,
@@ -37,7 +36,7 @@ from .syntax import (
     conj,
     disj,
     neg,
-    nnf_abox,
+    nnf,
     nnf_tbox,
     not_equal,
     rename_abox,
@@ -389,35 +388,63 @@ def initialize_root(kb: KnowledgeBase):
 
     Equalities are merged away by union-find (least name wins); the Tbox, in
     NNF, is instantiated on every individual in sight.  An inequality that
-    collapses to `a != a` is kept for the bottom rules to catch.
+    collapses to `a != a` is kept for the bottom rules to catch.  One pass
+    over the Abox puts concept assertions in NNF and collects the
+    individuals and the equalities; the renaming runs only if there is an
+    equality to merge.
     """
     tbox_c = nnf_tbox(kb.tbox)
-    abox_n = nnf_abox(kb.abox)
-    names = sorted(abox_individuals(abox_n) | kb.mbox_dom())
+    abox, equalities = set(), []
+    names = {m.individual for m in kb.mbox}
+    for a in kb.abox:
+        t = type(a)
+        if t is ConceptAssertion:
+            c = nnf(a.concept)
+            abox.add(a if c is a.concept else ConceptAssertion(c, a.individual))
+            names.add(a.individual)
+        elif t is RoleAssertion:
+            abox.add(a)
+            names.add(a.subject)
+            names.add(a.object)
+        else:
+            if t is Equal:
+                equalities.append(a)
+            else:
+                abox.add(a)
+            names.add(a.left)
+            names.add(a.right)
+    names = sorted(names)
+    mbox = kb.mbox
 
-    parent = {n: n for n in names}
+    if equalities:
+        parent = {n: n for n in names}
 
-    def find(n):
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
+        def find(n):
+            while parent[n] != n:
+                parent[n] = parent[parent[n]]
+                n = parent[n]
+            return n
 
-    for a in sorted((x for x in abox_n if isinstance(x, Equal)), key=assertion_key):
-        ra, rb = find(a.left), find(a.right)
-        if ra != rb:
-            keep, drop = (ra, rb) if ra < rb else (rb, ra)
-            parent[drop] = keep
-
-    rep = {n: find(n) for n in names}
-    merged = rename_abox((a for a in abox_n if not isinstance(a, Equal)), rep)
-    mbox = rename_mbox(kb.mbox, rep)
+        for a in sorted(equalities, key=assertion_key):
+            ra, rb = find(a.left), find(a.right)
+            if ra != rb:
+                keep, drop = (ra, rb) if ra < rb else (rb, ra)
+                parent[drop] = keep
+        rep = {n: find(n) for n in names}
+        abox = rename_abox(abox, rep)
+        mbox = rename_mbox(mbox, rep)
+        dom = set(rep.values())
+    else:
+        rep = {n: n for n in names}
+        dom = names
 
     # Every original individual's representative gets the Tbox, including
-    # individuals that occurred only in (now merged-away) equalities.
-    dom = sorted(set(rep.values()) | {m.individual for m in mbox})
-    tbox_assertions = {ConceptAssertion(c, a) for c in tbox_c for a in dom}
-    return make_base(tbox_c, merged | tbox_assertions, mbox), rep
+    # individuals that occurred only in (now merged-away) equalities; the
+    # Mbox individuals are among them.
+    abox.update([ConceptAssertion(c, a) for c in tbox_c for a in dom])
+    return BaseJudgement(tuple(sorted(tbox_c, key=lambda c: c.key)),
+                         tuple(sorted(abox, key=assertion_key)),
+                         tuple(sorted(mbox))), rep
 
 
 def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> AndOrGraph:

@@ -13,13 +13,20 @@ Grammar (sections may repeat and accumulate):
     un       := "not" un | "exists" ROLE "." un | "forall" ROLE "." un
               | "top" | "bot" | CNAME | "(" concept ")"
 
-Identifiers are [A-Za-z][A-Za-z0-9_]*; "#" starts a line comment.  Concept,
-role and individual namespaces are told apart by syntactic position only.
+An identifier starts with a character that passes `str.isalpha` and goes on
+with characters that pass `str.isalnum` or are "_"; "#" starts a line
+comment.  Concept, role and individual namespaces are told apart by
+syntactic position only.
+
+One compiled regex scans the text into two flat lists, token kinds and
+token texts, and the recursive descent indexes them directly.  A keyword's
+kind is the keyword itself, so a name test is one comparison.  A token's
+offset, line and column are worked out only when an error is raised.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import re
 
 from .syntax import (
     ConceptAssertion,
@@ -66,200 +73,178 @@ class ParseError(Exception):
         super().__init__(f"{origin}:{line}:{column}: {message}{tail}")
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", a punctuation string, or "eof"
-    text: str
-    line: int
-    column: int
+# One match per token: blanks and comments, then a run of name characters
+# (its first character is checked on its own), punctuation, any other
+# character, or the empty string at the end of the text.  "=m" is the mbox
+# operator only when the m does not start a name.  `\w` is exactly the
+# characters that pass `str.isalnum`, plus "_".
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*(\w+|!=|=m(?!\w)|[={}();.,]|.|\Z)", re.DOTALL)
+
+# Token text -> kind, for every token that is not a name: punctuation and
+# keywords are their own kind, and the empty string is the end of input.
+_KINDS = {s: s for s in ("!=", "=m", "=", "{", "}", "(", ")", ";", ".", ",", *KEYWORDS)}
+_KINDS[""] = "eof"
+
+# The kinds a name token can have: "ident", or the keyword itself.
+_WORDS = KEYWORDS | {"ident"}
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _scan(text: str, origin: str):
+    """The tokens of ``text`` as two parallel lists: kinds and texts.
+
+    A kind is "ident", a keyword, a punctuation string or "eof".  Four more
+    "eof" entries end the lists, so the parser may look up to three tokens
+    past the one it is at without a bounds check.
+    """
+    texts = _TOKEN.findall(text)
+    kinds = [_KINDS.get(s) or ("ident" if s[0].isalpha() else None) for s in texts]
+    if None in kinds:
+        i = kinds.index(None)
+        raise _error(text, origin, i, f"unexpected character {texts[i][0]!r}")
+    kinds += ("eof",) * 4
+    texts += ("",) * 4
+    return kinds, texts
 
 
-def _tokenize(text: str, origin: str):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "!" and i + 1 < n and text[i + 1] == "=":
-            toks.append(Token("!=", "!=", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == "=":
-            # "=m" only when the m is not the start of an identifier.
-            if (i + 1 < n and text[i + 1] == "m"
-                    and (i + 2 >= n or not _is_ident_char(text[i + 2]))):
-                toks.append(Token("=m", "=m", line, col))
-                i += 2
-                col += 2
-                continue
-            toks.append(Token("=", "=", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "{}();.,":
-            toks.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", origin, line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+def _error(text: str, origin: str, i: int, message: str, expected: str = "") -> ParseError:
+    """A ParseError at token ``i`` of ``text``.  Only errors need a
+    position, so the text is scanned again here for the token's offset."""
+    ms = list(_TOKEN.finditer(text))
+    if i < len(ms) and ms[i].group(1):
+        off = ms[i].start(1)
+    else:
+        # end of input, which sits where a comment running to the end starts
+        off = text.find("#", text.rfind("\n") + 1)
+        if off < 0:
+            off = len(text)
+    return ParseError(message, origin, text.count("\n", 0, off) + 1,
+                      off - text.rfind("\n", 0, off), expected)
 
 
 class _Parser:
     def __init__(self, text: str, origin: str):
-        self.toks = _tokenize(text, origin)
-        self.pos = 0
+        self.text = text
         self.origin = origin
+        self.kinds, self.texts = _scan(text, origin)
+        self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def error(self, message: str, expected: str = ""):
+        """Raise a ParseError at the next token."""
+        raise _error(self.text, self.origin, self.pos, message, expected)
 
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def error(self, message: str, expected: str = "", tok: Token = None):
-        t = tok or self.peek()
-        raise ParseError(message, self.origin, t.line, t.column, expected)
-
-    def expect(self, kind: str, production: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.error(f"malformed {production}: got {t.text or 'end of input'!r}",
+    def expect(self, kind: str, production: str):
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.error(f"malformed {production}: got {self.texts[pos] or 'end of input'!r}",
                        expected=kind)
-        return self.advance()
+        self.pos = pos + 1
 
     def expect_name(self, production: str) -> str:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            self.error(f"malformed {production}: got {t.text or 'end of input'!r}",
+        pos = self.pos
+        if self.kinds[pos] != "ident":
+            self.error(f"malformed {production}: got {self.texts[pos] or 'end of input'!r}",
                        expected="a name")
-        return self.advance().text
+        self.pos = pos + 1
+        return self.texts[pos]
 
     # ---- concepts --------------------------------------------------------
 
     def concept(self):
         c = self.and_concept()
-        while self.peek().kind == "ident" and self.peek().text == "or":
-            self.advance()
+        while self.kinds[self.pos] == "or":
+            self.pos += 1
             c = disj(c, self.and_concept())
         return c
 
     def and_concept(self):
         c = self.unary_concept()
-        while self.peek().kind == "ident" and self.peek().text == "and":
-            self.advance()
+        while self.kinds[self.pos] == "and":
+            self.pos += 1
             c = conj(c, self.unary_concept())
         return c
 
     def unary_concept(self):
-        t = self.peek()
-        if t.kind == "(":
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "ident":
+            self.pos = pos + 1
+            return atom(self.texts[pos])
+        if kind == "(":
+            self.pos = pos + 1
             c = self.concept()
             self.expect(")", "concept")
             return c
-        if t.kind != "ident":
-            self.error("malformed concept", expected="a concept")
-        if t.text == "not":
-            self.advance()
+        if kind == "not":
+            self.pos = pos + 1
             return neg(self.unary_concept())
-        if t.text in ("exists", "forall"):
-            self.advance()
+        if kind == "exists" or kind == "forall":
+            self.pos = pos + 1
             role = self.expect_name("role restriction")
             self.expect(".", "role restriction")
             body = self.unary_concept()
-            return exists(role, body) if t.text == "exists" else forall(role, body)
-        if t.text == "top":
-            self.advance()
+            return exists(role, body) if kind == "exists" else forall(role, body)
+        if kind == "top":
+            self.pos = pos + 1
             return top()
-        if t.text == "bot":
-            self.advance()
+        if kind == "bot":
+            self.pos = pos + 1
             return bot()
-        if t.text in KEYWORDS:
-            self.error(f"keyword {t.text!r} cannot be used as a concept name",
+        if kind in KEYWORDS:
+            self.error(f"keyword {kind!r} cannot be used as a concept name",
                        expected="a concept")
-        self.advance()
-        return atom(t.text)
+        self.error("malformed concept", expected="a concept")
 
     # ---- sections --------------------------------------------------------
 
     def kb(self) -> KnowledgeBase:
         tbox, abox, mbox = set(), set(), set()
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind != "ident" or t.text not in ("tbox", "abox", "mbox"):
+        kinds = self.kinds
+        while kinds[self.pos] != "eof":
+            section = kinds[self.pos]
+            if section == "tbox":
+                read, add = self.tbox_axiom, tbox.add
+            elif section == "abox":
+                read, add = self.abox_assertion, abox.add
+            elif section == "mbox":
+                read, add = self.mbox_axiom, mbox.add
+            else:
                 self.error("expected a section", expected="'tbox', 'abox' or 'mbox'")
-            self.advance()
-            self.expect("{", f"{t.text} section")
-            while self.peek().kind != "}":
-                if t.text == "tbox":
-                    tbox.add(self.tbox_axiom())
-                elif t.text == "abox":
-                    abox.add(self.abox_assertion())
-                else:
-                    mbox.add(self.mbox_axiom())
-                self.expect(";", f"{t.text} entry")
-            self.advance()
+            self.pos += 1
+            self.expect("{", f"{section} section")
+            entry = f"{section} entry"
+            while kinds[self.pos] != "}":
+                add(read())
+                self.expect(";", entry)
+            self.pos += 1
         return KnowledgeBase.of(tbox, abox, mbox)
 
     def tbox_axiom(self):
         lhs = self.concept()
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("subclassof", "equiv"):
-            self.advance()
+        kind = self.kinds[self.pos]
+        if kind == "subclassof" or kind == "equiv":
+            self.pos += 1
             rhs = self.concept()
-            return Subsumption(lhs, rhs) if t.text == "subclassof" else Equivalence(lhs, rhs)
+            return Subsumption(lhs, rhs) if kind == "subclassof" else Equivalence(lhs, rhs)
         self.error("malformed tbox axiom", expected="'subclassof' or 'equiv'")
 
     def abox_assertion(self):
-        t0, t1 = self.peek(0), self.peek(1)
-        if t0.kind == "ident" and t0.text not in KEYWORDS:
-            if t1.kind in ("=", "!="):
-                a = self.advance().text
-                op = self.advance()
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        if kinds[pos] == "ident":
+            k1 = kinds[pos + 1]
+            if k1 == "=" or k1 == "!=":
+                self.pos = pos + 2
                 b = self.expect_name("individual equality")
-                return equal(a, b) if op.kind == "=" else not_equal(a, b)
-            if t1.kind == "=m":
+                return equal(texts[pos], b) if k1 == "=" else not_equal(texts[pos], b)
+            if k1 == "=m":
                 self.error("meta-modelling axioms belong in the mbox section",
                            expected="an abox assertion")
-            if (t1.kind == "(" and self.peek(2).kind == "ident"
-                    and self.peek(3).kind == ","):
-                role = self.advance().text
-                self.advance()  # (
+            if k1 == "(" and kinds[pos + 2] in _WORDS and kinds[pos + 3] == ",":
+                self.pos = pos + 2
                 a = self.expect_name("role assertion")
                 self.expect(",", "role assertion")
                 b = self.expect_name("role assertion")
                 self.expect(")", "role assertion")
-                return RoleAssertion(role, a, b)
+                return RoleAssertion(texts[pos], a, b)
         return self.concept_assertion(self.concept())
 
     def concept_assertion(self, c):
@@ -272,11 +257,12 @@ class _Parser:
     def mbox_axiom(self):
         ind = self.expect_name("mbox axiom")
         self.expect("=m", "mbox axiom")
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
+        pos = self.pos
+        if self.kinds[pos] != "ident":
             self.error("mbox right-hand side must be an atomic concept name",
                        expected="a concept name")
-        return MboxAxiom(ind, self.advance().text)
+        self.pos = pos + 1
+        return MboxAxiom(ind, self.texts[pos])
 
 
 def parse_kb(text: str, origin: str = "<kb>") -> KnowledgeBase:
@@ -288,7 +274,7 @@ def parse_concept(text: str):
     their origin "query"."""
     p = _Parser(text, "query")
     c = p.concept()
-    if p.peek().kind != "eof":
+    if p.kinds[p.pos] != "eof":
         p.error("trailing input after concept")
     return c
 
@@ -301,29 +287,29 @@ def parse_query(text: str):
     same text.  Errors name their origin "query".
     """
     p = _Parser(text, "query")
-    t0, t1 = p.peek(0), p.peek(1)
-    named = t0.kind == "ident" and t0.text not in KEYWORDS
-    if named and t1.kind == "=m":
+    kinds = p.kinds
+    named = kinds[0] == "ident"
+    if named and kinds[1] == "=m":
         axiom = p.mbox_axiom()
-    elif named and t1.kind in ("=", "!="):
+    elif named and kinds[1] in ("=", "!="):
         p.pos = 2
         p.expect_name("query")  # a missing right-hand name makes the query malformed
         p.pos = 0
         axiom = p.abox_assertion()
-    elif named and t1.kind == "(" and p.peek(2).kind == "ident" and p.peek(3).kind == ",":
+    elif named and kinds[1] == "(" and kinds[2] in _WORDS and kinds[3] == ",":
         p.error("role assertion queries are not supported")
     else:
         c = p.concept()
-        t = p.peek()
-        if t.kind == "(":
+        kind = kinds[p.pos]
+        if kind == "(":
             axiom = p.concept_assertion(c)
-        elif t.kind == "ident" and t.text == "sub":
-            p.advance()
+        elif kind == "ident" and p.texts[p.pos] == "sub":
+            p.pos += 1
             axiom = Subsumption(c, p.concept())
         else:
             p.error("malformed query",
                     expected="'sub', '(individual)', '=', '!=' or '=m'")
-    if p.peek().kind != "eof":
+    if kinds[p.pos] != "eof":
         p.error("trailing input after query")
     return axiom
 

@@ -72,6 +72,12 @@ class TestCheck:
         assert main(["check", str(p)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_moderate_nesting_is_decided(self, tmp_path):
+        # 300 levels must stay within what the parser's recursion allows
+        p = tmp_path / "nested.alcm"
+        p.write_text("abox { " + "(" * 300 + "A" + ")" * 300 + "(a); }")
+        assert main(["check", str(p)]) == 0
+
     def test_budget_below_one_is_a_usage_error(self, hydro_file):
         assert main(["check", hydro_file, "--budget", "-1"]) == 2
         assert main(["check", hydro_file, "--budget", "0"]) == 2

@@ -32,16 +32,23 @@ from alcm.randomkb import corpus
 from alcm.semantics import satisfies_kb
 from alcm.syntax import (
     ConceptAssertion,
+    Equal,
     KnowledgeBase,
     MboxAxiom,
     NotEqual,
+    abox_individuals,
+    assertion_key,
     atom,
     conj,
     disj,
     exists,
     forall,
     neg,
+    nnf_abox,
+    nnf_tbox,
     not_equal,
+    rename_abox,
+    rename_mbox,
 )
 
 from conftest import HYDRO_INDIVIDUALS, core_kb, thrash_text
@@ -92,6 +99,51 @@ class TestInitializeRoot:
         root, _ = initialize_root(kb)
         assert ConceptAssertion(syntax.bot(), "d") in root.abox
         assert not check_consistency(kb).consistent
+
+
+def root_by_composition(kb):
+    """The root and merge map composed from the whole-set helpers: NNF of
+    the Abox, union-find over the equalities (least name wins), the renaming
+    of Abox and Mbox, the Tbox on every representative, then `make_base`."""
+    tbox_c = nnf_tbox(kb.tbox)
+    abox_n = nnf_abox(kb.abox)
+    names = sorted(abox_individuals(abox_n) | kb.mbox_dom())
+    parent = {n: n for n in names}
+
+    def find(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for a in sorted((x for x in abox_n if isinstance(x, Equal)), key=assertion_key):
+        ra, rb = find(a.left), find(a.right)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    rep = {n: find(n) for n in names}
+    merged = rename_abox((a for a in abox_n if not isinstance(a, Equal)), rep)
+    mbox = rename_mbox(kb.mbox, rep)
+    dom = set(rep.values()) | {m.individual for m in mbox}
+    tbox_assertions = {ConceptAssertion(c, a) for c in tbox_c for a in dom}
+    return make_base(tbox_c, merged | tbox_assertions, mbox), rep
+
+
+class TestRootDifferential:
+    CHAIN = "abox { a = b; b = c; a != c; }"
+
+    def test_one_pass_root_equals_the_composition(self):
+        kbs = corpus(seed=20240, size=500) + [parse_kb(self.CHAIN)]
+        # the equality branch must be exercised, not only the plain one
+        assert sum(any(isinstance(a, Equal) for a in kb.abox) for kb in kbs) >= 50
+        for kb in kbs:
+            root, merges = initialize_root(kb)
+            want, want_merges = root_by_composition(kb)
+            assert (root.tbox, root.abox, root.mbox) == (want.tbox, want.abox, want.mbox)
+            assert list(merges.items()) == list(want_merges.items())
+
+    def test_equality_chain_keeps_the_self_inequality(self):
+        root, merges = initialize_root(parse_kb(self.CHAIN))
+        assert root.abox == (NotEqual("a", "a"),)
+        assert merges == {"a": "a", "b": "a", "c": "a"}
 
 
 class TestCircular:

@@ -75,6 +75,47 @@ class TestParseKb:
         assert str(e.value).startswith("query:1:6: malformed concept")
 
 
+class TestTokenizer:
+    # identifiers start with a character that passes str.isalpha and go on
+    # with characters that pass str.isalnum or are "_"
+    @pytest.mark.parametrize("text, assertion", [
+        ("abox { Río(a); }", ConceptAssertion(atom("Río"), "a")),
+        ("abox { A½(a); }", ConceptAssertion(atom("A½"), "a")),
+        ("abox { A²(a); }", ConceptAssertion(atom("A²"), "a")),
+        ("abox { a=b; }", Equal("a", "b")),
+        ("abox { A(a); } # end", ConceptAssertion(atom("A"), "a")),
+    ])
+    def test_accepted(self, text, assertion):
+        assert parse_kb(text).abox == {assertion}
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("abox { ½A(a); }", "unexpected character '½'", 1, 8),
+        ("abox { _A(a); }", "unexpected character '_'", 1, 8),
+        ("abox { 1A(a); }", "unexpected character '1'", 1, 8),
+        ("abox { A(a); }  \x0b", "unexpected character '\\x0b'", 1, 17),
+        ("abox { a ! b; }", "unexpected character '!'", 1, 10),
+        ("!", "unexpected character '!'", 1, 1),
+        ("mbox { a =mB; }", "malformed mbox axiom: got '='", 1, 10),
+        ("abox {\tA(a)\r\n  ?; }", "unexpected character '?'", 2, 3),
+        # a keyword where a role assertion's first individual goes
+        ("abox { R(not, b); }", "malformed role assertion: got 'not'", 1, 10),
+        # end of input after a trailing comment is placed where the comment starts
+        ("abox { A(a) # end", "malformed abox entry: got 'end of input'", 1, 13),
+        ("abox { A(a); } # x\n abox { B(b)", "malformed abox entry: got 'end of input'", 2, 13),
+    ])
+    def test_rejected(self, text, message, line, column):
+        with pytest.raises(ParseError) as e:
+            parse_kb(text)
+        assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+    def test_m_after_equals_is_the_mbox_operator_only_before_a_non_name_character(self):
+        assert parse_kb("mbox { a =m B; }").mbox == {MboxAxiom("a", "B")}
+        with pytest.raises(ParseError) as e:
+            parse_kb("mbox { a =mB; }")
+        assert e.value.expected == "=m"
+        assert parse_kb("abox { a =m½; }").abox == {Equal("a", "m½")}
+
+
 class TestPrecedence:
     def test_not_exists_bind_tighter_than_and_than_or(self):
         c = parse_concept("not exists R . A and B")
