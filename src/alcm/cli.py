@@ -17,7 +17,6 @@ from .extraction import model_from_verdict
 from .inference import entails, is_meta_concept
 from .parser import ParseError, parse_concept, parse_kb, parse_query
 from .semantics import interpretation_to_json
-from .syntax import MboxAxiom
 
 
 def budget(text: str) -> int:
@@ -72,8 +71,8 @@ def _load_kb(path: str):
 
 def _run_check(args, kb) -> int:
     if args.oracle:
-        if args.model or args.trace:
-            print("error: --model/--trace need the and-or graph engine",
+        if args.model or args.trace or args.stats:
+            print("error: --model/--trace/--stats need the and-or graph engine",
                   file=sys.stderr)
             return 2
         verdict = oracle.decide(kb)
@@ -93,7 +92,7 @@ def _run_check(args, kb) -> int:
                 fh.write("\n")
         else:
             print("no model: KB is inconsistent", file=sys.stderr)
-    if args.stats and verdict.graph is not None:
+    if args.stats:
         g = verdict.graph
         counts = {k: g.kinds.count(k) for k in ("and", "or", "end", "bot", "open")}
         expanded = counts["and"] + counts["or"] + counts["end"]
@@ -121,8 +120,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _run_check(args, kb)
         if args.command in ("entails", "meta"):
-            axiom = (parse_query(args.query) if args.command == "entails"
-                     else MboxAxiom(args.individual, args.concept_name))
+            # `meta FILE a A` asks the query `a =m A`, read by the same grammar
+            axiom = parse_query(args.query if args.command == "entails"
+                                else f"{args.individual} =m {args.concept_name}")
             answer = entails(kb, axiom, args.budget)
             print("entailed" if answer else "not entailed")
             return 0 if answer else 1

@@ -1,15 +1,17 @@
 """Consistency engine: judgement rewriting over a globally cached and-or graph.
 
-A node label is either a base judgement (Tbox, Abox, Mbox), a variable
-judgement (Tbox plus a concept set standing for one anonymous element), or
-absurdity.  Every label is kept in canonical form - sorted tuples, merged
-equalities - so the global cache maps each label to exactly one node.
-Fresh individuals keep the names they are made with: `neq` makes one only
-for a difference witness no individual carries yet, so a label holds at
-most one per ordered pair of Mbox concept names, and the set of labels
-stays finite without renaming.  Expansion order, rule choice and tie-breaking
-are all fixed by the structural total orders, which makes graphs, verdicts
-and traces reproducible byte for byte.
+A node label is either a base judgement (Tbox, Abox, Mbox) or absurdity.
+A role successor is a base judgement too: its Abox asserts its concept set
+of one anonymous individual, `ANONYMOUS`, and its Mbox is empty, so one
+rule set, with its cores and backjumping, runs inside role successors as
+well as on the named individuals.  Every label is kept in canonical form -
+sorted tuples, merged equalities - so the global cache maps each label to
+exactly one node.  Fresh individuals keep the names they are made with:
+`neq` makes one only for a difference witness no individual carries yet,
+so a label holds at most one per ordered pair of Mbox concept names, and
+the set of labels stays finite without renaming.  Expansion order, rule
+choice and tie-breaking are all fixed by the structural total orders,
+which makes graphs, verdicts and traces reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .syntax import (
     ConceptAssertion,
     Equal,
     KnowledgeBase,
-    NotEqual,
     RoleAssertion,
     assertion_key,
     assertion_to_str,
@@ -47,12 +48,13 @@ DEFAULT_NODE_BUDGET = 2 ** 20
 
 FRESH_PREFIX = "fresh#"
 
-BOTTOM_RULES = ("bot", "bot1", "bot2", "bot3")
+# The one individual of a role successor's label; no parsed name has a "#".
+ANONYMOUS = "x#"
 
-# Every rule name, variable rules first, each group in the order the
-# strategy tries them.
-RULES = ("bot", "and", "or", "trans",
-         "bot1", "bot2", "bot3", "and'", "all", "eq", "neq", "or'", "close", "trans'")
+BOTTOM_RULES = ("bot1", "bot2", "bot3")
+
+# Every rule name, in the order the strategy tries them.
+RULES = ("bot1", "bot2", "bot3", "and'", "all", "eq", "neq", "or'", "close", "trans'")
 
 
 class _Absurdity:
@@ -63,30 +65,10 @@ class _Absurdity:
 ABSURDITY = _Absurdity()
 
 
-class VariableJudgement:
-    """Tbox plus the concept set of one anonymous element.  Hash is cached:
-    judgements are looked up in the global node cache constantly."""
-
-    __slots__ = ("tbox", "concepts", "_hash")
-
-    def __init__(self, tbox: Tuple[Concept, ...], concepts: Tuple[Concept, ...]):
-        self.tbox = tbox
-        self.concepts = concepts
-        self._hash = hash((tbox, concepts))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is VariableJudgement and self._hash == other._hash
-            and self.tbox == other.tbox and self.concepts == other.concepts)
-
-    def __repr__(self):
-        return f"VariableJudgement(tbox={self.tbox!r}, concepts={self.concepts!r})"
-
-
 class BaseJudgement:
+    """Tbox, Abox and Mbox.  Hash is cached: judgements are looked up in the
+    global node cache constantly."""
+
     __slots__ = ("tbox", "abox", "mbox", "_hash")
 
     def __init__(self, tbox, abox, mbox):
@@ -100,18 +82,28 @@ class BaseJudgement:
 
     def __eq__(self, other):
         return self is other or (
-            type(other) is BaseJudgement and self._hash == other._hash
+            type(other) is type(self) and self._hash == other._hash
             and self.tbox == other.tbox and self.abox == other.abox
             and self.mbox == other.mbox)
 
     def __repr__(self):
-        return (f"BaseJudgement(tbox={self.tbox!r}, abox={self.abox!r}, "
+        return (f"{type(self).__name__}(tbox={self.tbox!r}, abox={self.abox!r}, "
                 f"mbox={self.mbox!r})")
 
 
+class VariableJudgement(BaseJudgement):
+    """A role successor: its concept set asserted of `ANONYMOUS`, no Mbox.
+    Only the type tells it from a base judgement of the named individuals."""
+
+    __slots__ = ()
+
+
 def make_variable(tbox, concepts) -> VariableJudgement:
-    return VariableJudgement(tuple(sorted(set(tbox), key=lambda c: c.key)),
-                             tuple(sorted(set(concepts), key=lambda c: c.key)))
+    return VariableJudgement(
+        tuple(sorted(set(tbox), key=lambda c: c.key)),
+        tuple(ConceptAssertion(c, ANONYMOUS)
+              for c in sorted(set(concepts), key=lambda c: c.key)),
+        ())
 
 
 def make_base(tbox, abox, mbox) -> BaseJudgement:
@@ -125,15 +117,15 @@ def make_base(tbox, abox, mbox) -> BaseJudgement:
 
 
 def _extend(j: BaseJudgement, adds) -> BaseJudgement:
-    """``make_base(j.tbox, set(j.abox) | adds, j.mbox)``, derived from j:
-    the new assertions are inserted into j's sorted Abox, and j's Tbox and
-    Mbox tuples are reused."""
+    """``make_base(j.tbox, set(j.abox) | adds, j.mbox)``, derived from j and
+    of j's type: the new assertions are inserted into j's sorted Abox, and
+    j's Tbox and Mbox tuples are reused."""
     abox = list(j.abox)
     for a in adds:
         i = bisect_left(abox, assertion_key(a), key=assertion_key)
         if i == len(abox) or abox[i] != a:
             abox.insert(i, a)
-    return BaseJudgement(j.tbox, tuple(abox), j.mbox)
+    return type(j)(j.tbox, tuple(abox), j.mbox)
 
 
 @dataclass(frozen=True)
@@ -172,37 +164,6 @@ def circular(abox, mbox):
     return find_cycle(mdom, succ)
 
 
-def _variable_rule(j: VariableJudgement) -> Optional[RuleApplication]:
-    X = j.concepts
-    present = set(X)
-    # Clash: bot in the set, or an atom together with its negation.
-    for c in X:
-        if c.tag == syntax.BOT:
-            return RuleApplication("bot", "or", (c,), j, (ABSURDITY,))
-        if c.tag == syntax.ATOM and neg(c) in present:
-            return RuleApplication("bot", "or", (c, neg(c)), j, (ABSURDITY,))
-    for c in X:
-        if c.tag == syntax.AND:
-            rest = [d for d in X if d is not c]
-            concl = make_variable(j.tbox, rest + [c.left, c.right])
-            return RuleApplication("and", "or", (c,), j, (concl,))
-    for c in X:
-        if c.tag == syntax.OR:
-            rest = [d for d in X if d is not c]
-            left = make_variable(j.tbox, rest + [c.left])
-            right = make_variable(j.tbox, rest + [c.right])
-            return RuleApplication("or", "or", (c,), j, (left, right))
-    existentials = [c for c in X if c.tag == syntax.EXISTS]
-    if existentials:
-        concls = []
-        for e in existentials:
-            xs = [e.child] + [d.child for d in X
-                              if d.tag == syntax.FORALL and d.role == e.role]
-            concls.append(make_variable(j.tbox, xs + list(j.tbox)))
-        return RuleApplication("trans", "and", tuple(existentials), j, tuple(concls))
-    return None
-
-
 def difference_witness(a_name: str, b_name: str) -> Concept:
     """The one concept the neq rule asserts to make A and B differ:
     ``(A and not B) or (not A and B)``, in the order the names are given."""
@@ -210,7 +171,16 @@ def difference_witness(a_name: str, b_name: str) -> Concept:
     return disj(conj(A, neg(B)), conj(neg(A), B))
 
 
-def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
+def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
+    """The unique rule application the strategy picks for a judgement.
+
+    Priority runs bottom rules, then the remaining unary rules, then the
+    branching rules, then the transitional rule; ties inside a class are
+    broken by a fixed rule order and then by the least principal formula.
+    Returns None exactly when the judgement is an end node.
+    """
+    if j is ABSURDITY:
+        raise ValueError("absurdity is never expanded")
     # The judgement's tuples are already in canonical sorted order, so every
     # scan below visits candidates least-first without re-sorting.
     T, A, M = j.tbox, j.abox, j.mbox
@@ -250,9 +220,10 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
     for a in neqs:
         if a.left == a.right:
             return RuleApplication("bot2", "or", (a,), j, (ABSURDITY,))
-    cycle = circular(A, M)
-    if cycle is not None:
-        return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
+    if M:  # a role successor has no Mbox, hence no membership cycle
+        cycle = circular(A, M)
+        if cycle is not None:
+            return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
 
     # Unary static rules.
     for a in A:
@@ -327,21 +298,6 @@ def _base_rule(j: BaseJudgement) -> Optional[RuleApplication]:
     return None
 
 
-def applicable_rule(j) -> Optional[RuleApplication]:
-    """The unique rule application the strategy picks for a judgement.
-
-    Priority runs bottom rules, then the remaining unary rules, then the
-    branching rules, then the transitional rule; ties inside a class are
-    broken by a fixed rule order and then by the least principal formula.
-    Returns None exactly when the judgement is an end node.
-    """
-    if j is ABSURDITY:
-        raise ValueError("absurdity is never expanded")
-    if isinstance(j, VariableJudgement):
-        return _variable_rule(j)
-    return _base_rule(j)
-
-
 # --------------------------------------------------------------------------
 # Graph construction
 # --------------------------------------------------------------------------
@@ -361,8 +317,8 @@ class AndOrGraph:
     initial_merges: Dict[str, str] = field(default_factory=dict)
     # Nodes known unsat, each mapped to its rank in the order they were found.
     unsat: Dict[int, int] = field(default_factory=dict)
-    # Core of each unsat base node: a subset of its Abox that is unsat with
-    # its Tbox and Mbox.
+    # Core of each unsat node but absurdity: a subset of its Abox that is
+    # unsat with its Tbox and Mbox.
     cores: Dict[int, frozenset] = field(default_factory=dict)
     # Or-nodes refuted by one child's core alone, mapped to that child.
     core_child: Dict[int, int] = field(default_factory=dict)
@@ -471,9 +427,9 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     when the walk reaches no unexpanded node (the KB is consistent: that
     closed marking avoids the least unsat fixpoint of the full graph).
     Nodes never expanded keep kind "open"; ``g.unsat`` holds the propagated
-    set in the order it grew, ``g.cores`` the core of each unsat base node
-    and ``g.core_child`` the backjumps.  The node budget counts the nodes
-    built.
+    set in the order it grew, ``g.cores`` the core of each unsat node but
+    absurdity, and ``g.core_child`` the backjumps.  The node budget counts
+    the nodes built.
     """
     root, merges = initialize_root(kb)
     g = AndOrGraph(initial_merges=merges)
@@ -491,8 +447,7 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
                 continue
             core, by = death
             unsat[u] = len(unsat)
-            if core is not None:
-                g.cores[u] = core
+            g.cores[u] = core
             if by is not None:
                 g.core_child[u] = by
             queue.extend(parents[u])
@@ -551,8 +506,9 @@ def _refuted(g: AndOrGraph, v: int):
     """None while expanded node ``v`` may be satisfiable, given ``g.unsat``;
     else ``(core, by)``.
 
-    ``core`` is v's core, or None for a variable judgement.  ``by`` is the
-    child whose core alone refutes or-node ``v`` (a backjump), else None.
+    ``core`` is v's core, named individuals and role successors alike.
+    ``by`` is the child whose core alone refutes or-node ``v`` (a
+    backjump), else None.
     A backjump needs a child whose label is v's plus the assertions the
     rule added (``ra.added``): if its core avoids those, it lies inside
     v's Abox.  The merged branch of `close` never qualifies, since its
@@ -563,22 +519,19 @@ def _refuted(g: AndOrGraph, v: int):
         dead = [c for c in kids if c in unsat]
         if not dead:
             return None
-        j = g.labels[v]
-        if type(j) is not BaseJudgement:
-            return None, None
         c = min(dead, key=unsat.__getitem__)
-        return _trans_core(j, g.rules[v].principal[g.edges[v].index(c)]), None
+        return _trans_core(g.labels[v], g.rules[v].principal[g.edges[v].index(c)]), None
     ra = g.rules[v]
     for c, add in zip(g.edges[v], ra.added):
         if add is not None and c in unsat and g.cores[c].isdisjoint(add):
             return g.cores[c], c
     if not all(c in unsat for c in kids):
         return None
-    return (_or_core(g, v) if type(g.labels[v]) is BaseJudgement else None), None
+    return _or_core(g, v), None
 
 
 def _or_core(g: AndOrGraph, v: int) -> frozenset:
-    """Core of base or-node ``v``, all of whose children are unsat.
+    """Core of or-node ``v``, all of whose children are unsat.
 
     For `bot3` it is the assertions that make the membership cycle.
     Otherwise it is the principal assertions plus, for each child, the part
@@ -611,7 +564,7 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
 
 
 def _trans_core(j: BaseJudgement, e: ConceptAssertion) -> frozenset:
-    """Core of a `trans'` node whose variable child for the existential
+    """Core of a `trans'` node whose role successor for the existential
     ``e`` is unsat: ``e`` and the universals on the same role and
     individual, which together built that child."""
     x, role = e.individual, e.concept.role
@@ -729,12 +682,13 @@ def _certificate(ra: RuleApplication) -> Certificate:
         return Certificate("circularity", tuple(ra.principal))
     if ra.rule == "bot2":
         return Certificate("self-inequality", (ra.principal[0].left,))
-    if ra.rule == "bot1":
-        return Certificate("clash", tuple(assertion_to_str(a) for a in ra.principal))
-    return Certificate("clash", tuple(concept_to_str(c) for c in ra.principal))
+    # a clash inside a role successor names its concepts only
+    return Certificate("clash", tuple(
+        concept_to_str(a.concept) if a.individual == ANONYMOUS else assertion_to_str(a)
+        for a in ra.principal))
 
 
-_BOTTOM_PREFERENCE = {"bot3": 0, "bot2": 1, "bot1": 2, "bot": 3}
+_BOTTOM_PREFERENCE = {"bot3": 0, "bot2": 1, "bot1": 2}
 
 
 def _refutation_trace(g: AndOrGraph):
@@ -809,15 +763,9 @@ def check_consistency(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET)
 # --------------------------------------------------------------------------
 
 def _principal_to_str(ra: RuleApplication) -> str:
-    parts = []
-    for p in ra.principal:
-        if isinstance(p, Concept):
-            parts.append(concept_to_str(p))
-        elif isinstance(p, (ConceptAssertion, RoleAssertion, NotEqual, Equal)):
-            parts.append(assertion_to_str(p))
-        else:
-            parts.append(str(p))
-    return " | ".join(parts) if parts else "-"
+    # a principal is an assertion or a name
+    return " | ".join(p if isinstance(p, str) else assertion_to_str(p)
+                      for p in ra.principal) or "-"
 
 
 def format_trace(g: AndOrGraph, verdict) -> str:

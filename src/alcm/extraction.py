@@ -14,9 +14,11 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import syntax
 from .engine import (
+    ANONYMOUS,
     AndOrGraph,
     BaseJudgement,
     Marking,
+    VariableJudgement,
     check_consistency,
     circular,
     difference_witness,
@@ -90,10 +92,11 @@ def build_rgraph(g: AndOrGraph, marking: Marking):
             if c.tag != syntax.EXISTS:
                 continue
             u = node_of[x]
-            p = ConceptAssertion(c, x) if type(g.labels[u]) is BaseJudgement else c
-            w0 = g.edges[u][g.rules[u].principal.index(p)]
+            ind = ANONYMOUS if type(g.labels[u]) is VariableJudgement else x
+            w0 = g.edges[u][g.rules[u].principal.index(ConceptAssertion(c, ind))]
+            # labels only grow along an or-path, so its last one holds them all
             spath = saturation_path(g, marking, w0)
-            Y = frozenset().union(*(set(g.labels[n].concepts) for n in spath))
+            Y = frozenset(a.concept for a in g.labels[spath[-1]].abox)
             y = next((n for n in delta if frozenset(labels[n]) == Y), None)
             if y is None:
                 y = f"{VAR_PREFIX}{var_count}"

@@ -2,9 +2,9 @@
 
 import pytest
 
-from alcm.engine import BaseJudgement, VariableJudgement
+from alcm.engine import BaseJudgement
 from alcm.parser import parse_kb
-from alcm.syntax import ConceptAssertion, KnowledgeBase, Subsumption, top
+from alcm.syntax import KnowledgeBase, Subsumption, top
 
 HYDRO_TEXT = """
 tbox { River and Lake subclassof bot; }
@@ -62,14 +62,11 @@ def judgement_to_kb(j) -> KnowledgeBase:
     """Read a judgement back as a standalone KB (for the oracle to referee).
 
     A Tbox concept C stands for 'C holds everywhere', i.e. top subclassof C;
-    a variable judgement's concept set is asserted of one fresh individual.
+    a role successor's Abox asserts its concept set of one anonymous
+    individual.
     """
     tbox = {Subsumption(top(), c) for c in j.tbox}
-    if isinstance(j, BaseJudgement):
-        return KnowledgeBase.of(tbox, j.abox, j.mbox)
-    assert isinstance(j, VariableJudgement)
-    abox = {ConceptAssertion(c, "x0") for c in j.concepts}
-    return KnowledgeBase.of(tbox, abox, ())
+    return KnowledgeBase.of(tbox, j.abox, j.mbox)
 
 
 def core_kb(j: BaseJudgement, core) -> KnowledgeBase:

@@ -97,11 +97,12 @@ class TestCheck:
         p.write_text(EXAMPLE_GRAPH_TEXT)
         assert main(["check", str(p), "--stats"]) == 0
         out = capsys.readouterr().out
-        # one count per rule in the fixed order, summing to the 22 expanded
-        # nodes of this graph (none of which is an end node)
-        assert "nodes: 27 built, 22 expanded\n" in out
-        assert ("rules: bot=2 and=0 or=3 trans=2 bot1=1 bot2=0 bot3=1 and'=3 all=0 "
-                "eq=1 neq=1 or'=5 close=1 trans'=2\n") in out
+        # one count per rule in the fixed order, summing to the 21 expanded
+        # nodes of this graph (none of which is an end node); role
+        # successors count under the same rules as named individuals
+        assert "nodes: 27 built, 21 expanded\n" in out
+        assert ("rules: bot1=3 bot2=0 bot3=1 and'=3 all=0 "
+                "eq=1 neq=1 or'=7 close=1 trans'=4\n") in out
 
     def test_stats_count_backjumps(self, tmp_path, capsys):
         p = tmp_path / "thrash.alcm"
@@ -122,6 +123,14 @@ class TestCheck:
     def test_oracle_refuses_graph_artifacts(self, hydro_file, tmp_path):
         out = str(tmp_path / "t.txt")
         assert main(["check", hydro_file, "--oracle", "--trace", out]) == 2
+
+    def test_oracle_refuses_stats(self, hydro_file, tmp_path, capsys):
+        out = str(tmp_path / "t.txt")
+        assert main(["check", hydro_file, "--oracle", "--trace", out]) == 2
+        trace_err = capsys.readouterr()
+        assert main(["check", hydro_file, "--oracle", "--stats"]) == 2
+        stats_err = capsys.readouterr()
+        assert stats_err.out == "" and stats_err.err == trace_err.err
 
     def test_model_and_trace_outputs(self, hydro_file, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -159,6 +168,16 @@ class TestQueries:
     def test_meta(self, hydro_file):
         assert main(["meta", hydro_file, "river", "River"]) == 0
         assert main(["meta", hydro_file, "queguay", "River"]) == 1
+
+    @pytest.mark.parametrize("name", ["A)", "and", ""])
+    def test_meta_rejects_a_bad_concept_name(self, hydro_file, name, capsys):
+        # `meta FILE a A` reads the query `a =m A`, so a name the query
+        # grammar rejects is the same parse error as under `entails`
+        assert main(["entails", hydro_file, f"river =m {name}"]) == 2
+        want = capsys.readouterr().err
+        assert want.startswith("error: query:1:") and want.count("\n") == 1
+        assert main(["meta", hydro_file, "river", name]) == 2
+        assert capsys.readouterr().err == want
 
     def test_meta_is_the_mbox_query(self, hydro_file):
         codes = set()

@@ -9,6 +9,7 @@ from alcm import oracle, syntax
 from alcm.digraph import find_cycle
 from alcm.engine import (
     ABSURDITY,
+    ANONYMOUS,
     FRESH_PREFIX,
     RULES,
     BaseJudgement,
@@ -64,6 +65,26 @@ MULTI_PAIR_TEXTS = (
     " abox { not (A or C) and B(c); S(d, e); }"
     " mbox { b =m E; d =m C; e =m F; f =m C; }",
 )
+
+
+def irrelevant_disjunctions(n: int) -> str:
+    """n disjunctions that play no part in the clash of Z1 or Z2 with
+    not Z1 and not Z2; unsatisfiable."""
+    return " and ".join([f"(X{i} or Y{i})" for i in range(n)]
+                        + ["(Z1 or Z2)", "not Z1", "not Z2"])
+
+
+def pigeonhole(n: int) -> str:
+    """n + 1 pigeons in n holes, P_i_j for pigeon i in hole j; unsatisfiable."""
+    holes = [" or ".join(f"P{i}_{j}" for j in range(n)) for i in range(n + 1)]
+    apart = [f"not P{i}_{j} or not P{k}_{j}"
+             for j in range(n) for i in range(n + 1) for k in range(i + 1, n + 1)]
+    return " and ".join(f"({c})" for c in holes + apart)
+
+
+def under_exists(body: str) -> KnowledgeBase:
+    """The KB that asserts an R-successor of a satisfying ``body``."""
+    return parse_kb(f"abox {{ (exists R . ({body}))(a); }}")
 
 
 class TestInitializeRoot:
@@ -163,11 +184,23 @@ class TestCircular:
         assert circular(root.abox, root.mbox) is None
 
 
+def concepts_of(j) -> set:
+    """The concept set of a role successor's label."""
+    assert type(j) is VariableJudgement and j.mbox == ()
+    assert all(a.individual == ANONYMOUS for a in j.abox)
+    return {a.concept for a in j.abox}
+
+
 class TestApplicableRule:
     def test_variable_clash(self):
         j = make_variable((), {A, neg(A), disj(C, D)})
         ra = applicable_rule(j)
-        assert ra.rule == "bot" and ra.conclusions == (ABSURDITY,)
+        assert ra.rule == "bot1" and ra.conclusions == (ABSURDITY,)
+        assert ra.principal == (ConceptAssertion(A, ANONYMOUS),
+                                ConceptAssertion(neg(A), ANONYMOUS))
+        # the certificate names the clashing concepts, not the anonymous name
+        v = check_consistency(parse_kb("abox { (exists R . (A and not A))(a); }"))
+        assert v.certificate.describe() == "clash: A / not A"
 
     def test_circularity_beats_static_rules(self):
         j = make_base((), {ConceptAssertion(A, "a"), ConceptAssertion(B, "b")},
@@ -187,10 +220,14 @@ class TestApplicableRule:
         assert set(concl.mbox) == {MboxAxiom("a", "A")}
 
     def test_transitional_rule_bundles_universals_and_tbox(self):
+        # on a role successor, whose successor is a role successor again
         j = make_variable({E}, {exists("R", A), forall("R", B), forall("R", neg(C))})
         ra = applicable_rule(j)
-        assert ra.rule == "trans" and ra.connective == "and"
-        assert ra.conclusions == (make_variable({E}, {A, B, neg(C), E}),)
+        assert ra.rule == "trans'" and ra.connective == "and"
+        assert ra.principal == (ConceptAssertion(exists("R", A), ANONYMOUS),)
+        (concl,) = ra.conclusions
+        assert concl == make_variable({E}, {A, B, neg(C), E})
+        assert concepts_of(concl) == {A, B, neg(C), E}
 
     def test_end_node(self):
         j = make_base((), {ConceptAssertion(A, "a")}, ())
@@ -208,14 +245,19 @@ class TestApplicableRule:
         j = make_base((), {ConceptAssertion(disj(A, B), "x"), ConceptAssertion(A, "x")}, ())
         assert applicable_rule(j) is None
 
-    def test_variable_rules_drop_principal(self):
+    def test_successor_rules_keep_the_principal(self):
         j = make_variable((), {conj(A, B)})
-        (concl,) = applicable_rule(j).conclusions
-        assert set(concl.concepts) == {A, B}
+        ra = applicable_rule(j)
+        assert ra.rule == "and'"
+        (concl,) = ra.conclusions
+        assert concepts_of(concl) == {conj(A, B), A, B}
         j2 = make_variable((), {disj(A, B), C})
-        left, right = applicable_rule(j2).conclusions
-        assert set(left.concepts) == {A, C}
-        assert set(right.concepts) == {B, C}
+        ra2 = applicable_rule(j2)
+        assert ra2.rule == "or'"
+        left, right = ra2.conclusions
+        assert concepts_of(left) == {disj(A, B), A, C}
+        assert concepts_of(right) == {disj(A, B), B, C}
+        assert applicable_rule(left) is None
 
     def test_inequality_of_metamodelled_pair_creates_witness(self):
         j = make_base((), {not_equal("a", "b")},
@@ -251,14 +293,16 @@ class TestBuildGraph:
         assert ra.rule == "close" and ra.principal == ("a", "b")
         # frozen from a hand-checked trace dump of this construction: the
         # merge branch dies on d's R-successor (A and not B once A = B),
-        # whose core {exists R . A(d), forall R . not B(d)} lies in the
-        # Abox of every disjunction above it, so two of them are refuted
-        # with their right disjunct never expanded; the separated branch
-        # closes through the neq witness; and two more nodes (a sibling
-        # variable judgement and the witness's right disjunct) are built
-        # but never expanded
+        # both of whose disjuncts of B or not A clash, so the trans' node
+        # above it gets the core {exists R . A(d), forall R . not B(d)};
+        # that core lies in the Abox of every disjunction above it, so two
+        # of them are refuted with their right disjunct never expanded; the
+        # separated branch closes through the neq witness; and three more
+        # nodes (the two disjuncts of the S-successor expanded beside the
+        # dead R-successor, and the witness's right disjunct) are built but
+        # never expanded
         assert len(g.labels) == 27
-        assert g.kinds.count("open") == 4
+        assert g.kinds.count("open") == 5
 
     def test_empty_kb_is_a_single_end_node(self):
         g = build_graph(parse_kb(""))
@@ -293,7 +337,7 @@ class TestBuildGraph:
             h.update((v.certificate.describe() if not v.consistent
                       else "consistent").encode() + b"\n")
         assert h.hexdigest() == \
-            "2296c0b796232795fa2d9e4092559a1cbc445188c832f37437458a2c9cfb4d2d"
+            "5204eb4cba6eca56bb0aad7d42ff230e8cf7c2dc8686199e30727bdd6192f888"
 
     def test_construction_stops_once_the_root_is_decided(self):
         # this corpus KB took 38,312 nodes when the graph was expanded to
@@ -313,7 +357,7 @@ class TestCores:
         assert len(v.graph.labels) <= 60
 
     def test_corpus_kb_257_is_refuted_through_one_existential(self):
-        # 280 nodes when a dead variable child refuted its trans' node
+        # 280 nodes when a dead role successor refuted its trans' node
         # with the whole Abox as core
         v = check_consistency(corpus(seed=20240, size=258)[257])
         assert not v.consistent
@@ -357,6 +401,29 @@ class TestCores:
         for u, core in g.cores.items():
             assert core <= set(g.labels[u].abox)
             assert not oracle.decide(core_kb(g.labels[u], core)).consistent
+
+    def test_irrelevant_disjunctions_in_a_role_successor_are_not_retried(self):
+        # 65,553 nodes while role successors recorded no core: every
+        # combination of the 14 disjunctions was tried; asserted of `a`
+        # itself the family takes 48
+        v = check_consistency(under_exists(irrelevant_disjunctions(14)), node_budget=10_000)
+        assert not v.consistent
+        assert len(v.graph.labels) <= 60
+
+    def test_pigeonhole_in_a_role_successor_backjumps(self):
+        # 4,369 nodes without cores in role successors, against 386 when
+        # asserted of `a`; each backjump inside the successor rests on a
+        # core the oracle refutes on its own
+        v = check_consistency(under_exists(pigeonhole(3)), node_budget=10_000)
+        g = v.graph
+        assert not v.consistent
+        assert len(g.labels) <= 400
+        jumps = [u for u in g.core_child if type(g.labels[u]) is VariableJudgement]
+        assert jumps
+        for u in jumps:
+            j, core = g.labels[u], g.cores[u]
+            assert core == g.cores[g.core_child[u]] and core <= set(j.abox)
+            assert not oracle.decide(core_kb(j, core)).consistent
 
     def test_multi_pair_kb_is_consistent_in_few_nodes(self):
         # 2,737 nodes while fresh individuals were renumbered per label,
@@ -439,7 +506,7 @@ class TestGraphHygiene:
 
     def test_rules_lists_every_applied_rule(self, sample):
         # `alcm check --stats` counts only the names in RULES; the sample
-        # applies all fourteen, so renaming one, or adding one the sample
+        # applies all ten, so renaming one, or adding one the sample
         # applies, without listing it fails here
         assert {ra.rule for g in sample for ra in g.rules if ra is not None} == set(RULES)
 
@@ -451,9 +518,9 @@ class TestGraphHygiene:
     def test_no_variable_to_base_edges(self, sample):
         for g in sample:
             for u in range(len(g.labels)):
-                if isinstance(g.labels[u], VariableJudgement):
+                if type(g.labels[u]) is VariableJudgement:
                     for v in g.children(u):
-                        assert not isinstance(g.labels[v], BaseJudgement)
+                        assert type(g.labels[v]) is not BaseJudgement
 
     def test_or_subgraph_is_acyclic(self, sample):
         for g in sample:
@@ -502,7 +569,7 @@ class TestGraphHygiene:
                 assert len(g.edges[u]) == len(ra.conclusions)
                 for i in range(len(ra.conclusions)):
                     assert g.labels[g.edges[u][i]] == ra.conclusions[i]
-                if ra.rule in ("trans", "trans'"):
+                if ra.rule == "trans'":
                     # the i-th existential's successor is the i-th conclusion
                     assert len(ra.principal) == len(ra.conclusions)
 
@@ -533,14 +600,17 @@ class TestGraphHygiene:
         assert jumps > 0
 
     def test_every_core_lies_in_its_abox_and_is_refuted(self, sample):
-        cores = 0
+        cores = successors = 0
         for g in sample:
             for v, core in g.cores.items():
                 j = g.labels[v]
                 assert v in g.unsat and core <= set(j.abox)
                 assert not oracle.decide(core_kb(j, core)).consistent
                 cores += 1
+                successors += type(j) is VariableJudgement
         assert cores >= 100
+        # role successors record cores too
+        assert successors >= 10
 
     def test_rebuilding_gives_identical_traces(self):
         for kb in corpus(seed=3, size=30):
