@@ -19,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 from typing import Dict, List, Optional, Tuple
 
 from . import syntax
@@ -30,6 +32,7 @@ from .syntax import (
     Equal,
     KnowledgeBase,
     RoleAssertion,
+    abox_individuals,
     assertion_key,
     assertion_to_str,
     atom,
@@ -67,15 +70,23 @@ ABSURDITY = _Absurdity()
 
 class BaseJudgement:
     """Tbox, Abox and Mbox.  Hash is cached: judgements are looked up in the
-    global node cache constantly."""
+    global node cache constantly.
+
+    The hash is ``hash((tbox, mbox))`` XOR the hashes of the Abox
+    assertions, so a label derived from another by inserting assertions
+    gets its hash from its parent's (``label_hash``, see `_extend`) without
+    re-hashing the whole Abox; equal labels hash equal however they were
+    built."""
 
     __slots__ = ("tbox", "abox", "mbox", "_hash")
 
-    def __init__(self, tbox, abox, mbox):
+    def __init__(self, tbox, abox, mbox, label_hash=None):
         self.tbox = tbox
         self.abox = abox
         self.mbox = mbox
-        self._hash = hash((tbox, abox, mbox))
+        if label_hash is None:
+            label_hash = reduce(xor, map(hash, abox), hash((tbox, mbox)))
+        self._hash = label_hash
 
     def __hash__(self):
         return self._hash
@@ -118,14 +129,17 @@ def make_base(tbox, abox, mbox) -> BaseJudgement:
 
 def _extend(j: BaseJudgement, adds) -> BaseJudgement:
     """``make_base(j.tbox, set(j.abox) | adds, j.mbox)``, derived from j and
-    of j's type: the new assertions are inserted into j's sorted Abox, and
-    j's Tbox and Mbox tuples are reused."""
+    of j's type: the new assertions are inserted into j's sorted Abox, j's
+    Tbox and Mbox tuples are reused, and the hash is j's with the hashes of
+    the inserted assertions XOR-ed in."""
     abox = list(j.abox)
+    h = j._hash
     for a in adds:
         i = bisect_left(abox, assertion_key(a), key=assertion_key)
         if i == len(abox) or abox[i] != a:
             abox.insert(i, a)
-    return type(j)(j.tbox, tuple(abox), j.mbox)
+            h ^= hash(a)
+    return type(j)(j.tbox, tuple(abox), j.mbox, h)
 
 
 @dataclass(frozen=True)
@@ -181,100 +195,106 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
     """
     if j is ABSURDITY:
         raise ValueError("absurdity is never expanded")
-    # The judgement's tuples are already in canonical sorted order, so every
-    # scan below visits candidates least-first without re-sorting.
     T, A, M = j.tbox, j.abox, j.mbox
+    # One pass over the Abox indexes it and sorts its concept assertions by
+    # connective.  The Abox is in canonical order, and a concept's sort key
+    # starts with its tag, so each per-connective list is in Abox order too:
+    # every scan below meets its candidates least-first.
     by_ind: Dict[str, set] = {}
     role_out: Dict[Tuple[str, str], list] = {}
     neqs = []
-    individuals = set()
+    by_tag = ([], [], [], [], [], [], [], [])  # indexed by syntax tag
     for a in A:
-        if type(a) is ConceptAssertion:
-            by_ind.setdefault(a.individual, set()).add(a.concept)
-            individuals.add(a.individual)
-        elif type(a) is RoleAssertion:
-            role_out.setdefault((a.role, a.subject), []).append(a)
-            individuals.add(a.subject)
-            individuals.add(a.object)
+        t = type(a)
+        if t is ConceptAssertion:
+            c = a.concept
+            have = by_ind.get(a.individual)
+            if have is None:
+                by_ind[a.individual] = {c}
+            else:
+                have.add(c)
+            by_tag[c.tag].append(a)
+        elif t is RoleAssertion:
+            out = role_out.get((a.role, a.subject))
+            if out is None:
+                role_out[(a.role, a.subject)] = [a]
+            else:
+                out.append(a)
         else:
             neqs.append(a)
-            individuals.add(a.left)
-            individuals.add(a.right)
-    mdom = list(dict.fromkeys(m.individual for m in M))
-    concept_of = {}
-    for m in M:
-        concept_of.setdefault(m.individual, m.concept_name)
+    _, bots, atoms, nots, ands, ors, exs, alls = by_tag
 
     # Bottom rules first.
-    for a in A:
-        if type(a) is ConceptAssertion:
-            c = a.concept
-            if c.tag == syntax.BOT:
-                return RuleApplication("bot1", "or", (a,), j, (ABSURDITY,))
-            if c.tag == syntax.ATOM and neg(c) in by_ind[a.individual]:
-                other = ConceptAssertion(neg(c), a.individual)
-                return RuleApplication("bot1", "or", (a, other), j, (ABSURDITY,))
-            if c.tag == syntax.NOT and c.child in by_ind[a.individual]:
-                other = ConceptAssertion(c.child, a.individual)
-                return RuleApplication("bot1", "or", (other, a), j, (ABSURDITY,))
+    if bots:
+        return RuleApplication("bot1", "or", (bots[0],), j, (ABSURDITY,))
+    # Labels are in NNF, so every negation is of an atom, and negated atoms
+    # sort as their atoms do: the first negation that clashes names the
+    # least clashing atom.
+    for a in nots:
+        if a.concept.child in by_ind[a.individual]:
+            other = ConceptAssertion(a.concept.child, a.individual)
+            return RuleApplication("bot1", "or", (other, a), j, (ABSURDITY,))
     for a in neqs:
         if a.left == a.right:
             return RuleApplication("bot2", "or", (a,), j, (ABSURDITY,))
+    concept_of = {}
     if M:  # a role successor has no Mbox, hence no membership cycle
-        cycle = circular(A, M)
-        if cycle is not None:
-            return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
+        for m in M:
+            concept_of.setdefault(m.individual, m.concept_name)
+        # a cycle needs an edge: an atom of an Mbox concept on an Mbox individual
+        names = {m.concept_name for m in M}
+        if any(a.individual in concept_of and a.concept.name in names for a in atoms):
+            cycle = circular(A, M)
+            if cycle is not None:
+                return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
 
     # Unary static rules.
-    for a in A:
-        if type(a) is ConceptAssertion and a.concept.tag == syntax.AND:
-            c, x = a.concept, a.individual
-            have = by_ind[x]
-            if not (c.left in have and c.right in have):
-                adds = (ConceptAssertion(c.left, x), ConceptAssertion(c.right, x))
-                return RuleApplication("and'", "or", (a,), j, (_extend(j, adds),), (adds,))
-    for a in A:
-        if type(a) is ConceptAssertion and a.concept.tag == syntax.FORALL:
-            c, x = a.concept, a.individual
-            for r in role_out.get((c.role, x), ()):
+    for a in ands:
+        c, x = a.concept, a.individual
+        have = by_ind[x]
+        if not (c.left in have and c.right in have):
+            adds = (ConceptAssertion(c.left, x), ConceptAssertion(c.right, x))
+            return RuleApplication("and'", "or", (a,), j, (_extend(j, adds),), (adds,))
+    if role_out:
+        for a in alls:
+            c = a.concept
+            for r in role_out.get((c.role, a.individual), ()):
                 if c.child not in by_ind.get(r.object, ()):
                     adds = (ConceptAssertion(c.child, r.object),)
                     return RuleApplication("all", "or", (a, r), j, (_extend(j, adds),),
                                            (adds,))
-    for ind in mdom:
-        axs = [m for m in M if m.individual == ind]
-        if len(axs) >= 2:
-            keep, drop = axs[0], axs[1]
+    # the Mbox is sorted, so an individual's axioms are adjacent
+    for keep, drop in zip(M, M[1:]):
+        if keep.individual == drop.individual:
             An, Bn = keep.concept_name, drop.concept_name
             tb_add = {disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An)))}
             witness = conj(disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An))))
-            everyone = individuals | set(mdom)
+            everyone = abox_individuals(A).union(concept_of)
             adds = {ConceptAssertion(witness, d) for d in everyone}
             concl = make_base(set(T) | tb_add, set(A) | adds, set(M) - {drop})
-            return RuleApplication("eq", "or", (ind, An, Bn), j, (concl,))
+            return RuleApplication("eq", "or", (keep.individual, An, Bn), j, (concl,))
     for a in neqs:
         if a.left in concept_of and a.right in concept_of:
             An, Bn = concept_of[a.left], concept_of[a.right]
             w = difference_witness(An, Bn)
-            if not any(w in cs for cs in by_ind.values()):
-                nfresh = sum(1 for n in individuals if n.startswith(FRESH_PREFIX))
+            if not any(b.concept is w for b in ors):
+                nfresh = sum(1 for n in abox_individuals(A) if n.startswith(FRESH_PREFIX))
                 d0 = f"{FRESH_PREFIX}{nfresh}"
                 adds = (ConceptAssertion(w, d0),) + tuple(ConceptAssertion(c, d0) for c in T)
                 return RuleApplication("neq", "or", (a, An, Bn), j, (_extend(j, adds),),
                                        (adds,))
 
     # Branching static rules.
-    for a in A:
-        if type(a) is ConceptAssertion and a.concept.tag == syntax.OR:
-            c, x = a.concept, a.individual
-            have = by_ind[x]
-            if c.left not in have and c.right not in have:
-                adds = ((ConceptAssertion(c.left, x),), (ConceptAssertion(c.right, x),))
-                return RuleApplication("or'", "or", (a,), j,
-                                       tuple(_extend(j, add) for add in adds), adds)
-    if len(mdom) > 1:
+    for a in ors:
+        c, x = a.concept, a.individual
+        have = by_ind[x]
+        if c.left not in have and c.right not in have:
+            adds = ((ConceptAssertion(c.left, x),), (ConceptAssertion(c.right, x),))
+            return RuleApplication("or'", "or", (a,), j,
+                                   tuple(_extend(j, add) for add in adds), adds)
+    if len(concept_of) > 1:
         neq_pairs = {(n.left, n.right) for n in neqs}
-        srt = sorted(mdom)
+        srt = sorted(concept_of)
         for i, a in enumerate(srt):
             for b in srt[i + 1:]:
                 if (a, b) not in neq_pairs:
@@ -284,17 +304,18 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
                     return RuleApplication("close", "or", (a, b), j,
                                            (merged, _extend(j, adds)), (None, adds))
 
-    # Transitional rule.
-    existentials = [a for a in A
-                    if type(a) is ConceptAssertion and a.concept.tag == syntax.EXISTS]
-    if existentials:
+    # Transitional rule: each existential's successor gets its concept, the
+    # concepts of the universals on its role and individual, and the Tbox.
+    if exs:
+        universals: Dict[Tuple[str, str], list] = {}
+        for a in alls:
+            universals.setdefault((a.individual, a.concept.role), []).append(a.concept.child)
         concls = []
-        for e in existentials:
-            c, x = e.concept, e.individual
-            xs = [c.child] + [d.child for d in sorted(by_ind[x], key=lambda d: d.key)
-                              if d.tag == syntax.FORALL and d.role == c.role]
+        for e in exs:
+            c = e.concept
+            xs = [c.child] + universals.get((e.individual, c.role), [])
             concls.append(make_variable(T, xs + list(T)))
-        return RuleApplication("trans'", "and", tuple(existentials), j, tuple(concls))
+        return RuleApplication("trans'", "and", tuple(exs), j, tuple(concls))
     return None
 
 
@@ -324,15 +345,14 @@ class AndOrGraph:
     core_child: Dict[int, int] = field(default_factory=dict)
 
     def add(self, label) -> int:
-        nid = self.nodes.get(label)
-        if nid is None:
-            nid = len(self.labels)
-            self.nodes[label] = nid
-            self.labels.append(label)
-            self.kinds.append("bot" if label is ABSURDITY else "open")
-            self.edges.append([])
-            self.rules.append(None)
-            self.child_ids.append(())
+        """Give a label the graph does not hold yet the next id."""
+        nid = len(self.labels)
+        self.nodes[label] = nid
+        self.labels.append(label)
+        self.kinds.append("bot" if label is ABSURDITY else "open")
+        self.edges.append([])
+        self.rules.append(None)
+        self.child_ids.append(())
         return nid
 
     def children(self, nid: int) -> tuple:
@@ -434,7 +454,7 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     root, merges = initialize_root(kb)
     g = AndOrGraph(initial_merges=merges)
     g.root = g.add(root)
-    kinds, unsat, kids = g.kinds, g.unsat, g.child_ids
+    nodes, kinds, unsat, kids = g.nodes, g.kinds, g.unsat, g.child_ids
     parents: List[List[int]] = [[]]
 
     def settle(v):
@@ -459,21 +479,25 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             return
         g.rules[v] = ra
         kinds[v] = "and" if ra.connective == "and" else "or"
+        edges = g.edges[v]
         for concl in ra.conclusions:
-            known = concl in g.nodes
-            cid = g.add(concl)
-            if not known:
+            cid = nodes.get(concl)
+            if cid is None:
+                cid = g.add(concl)
                 if len(g.labels) > node_budget:
                     raise BudgetExceededError(
                         f"node budget ({node_budget}) exhausted")
                 parents.append([])
                 if concl is ABSURDITY:
                     unsat[cid] = len(unsat)
-            g.edges[v].append(cid)
-        kids[v] = tuple(dict.fromkeys(g.edges[v]))
+            edges.append(cid)
+        kids[v] = tuple(dict.fromkeys(edges))
+        dead = False
         for c in kids[v]:
             parents[c].append(v)
-        settle(v)
+            dead = dead or c in unsat
+        if dead:  # with no unsat child, v cannot be refuted yet
+            settle(v)
 
     marked: set = set()
     starts = [g.root]
@@ -538,7 +562,10 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
     of the child's core that lies in v's Abox: its core minus what it added,
     or for the merged branch of `close` the assertions the merge renames
     into its core.  The absurdity child of `bot1` and `bot2` adds nothing.
-    The whole Abox stands in for `eq`, which changes the Tbox and Mbox.
+    For `eq` it is the part of the child's core that lies in v's Abox: the
+    child's Mbox is part of v's, and the Tbox axioms and witness assertions
+    it adds follow from v's two Mbox axioms on one individual, which make
+    the two concepts equal in every model.
     """
     ra, j = g.rules[v], g.labels[v]
     if ra.rule == "bot3":
@@ -550,7 +577,7 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
                  for x, y in zip(cycle, cycle[1:] + cycle[:1]) for n in meta[y]}
         return frozenset(edges.intersection(j.abox))
     if ra.rule == "eq":
-        return frozenset(j.abox)
+        return g.cores[g.edges[v][0]].intersection(j.abox)
     core = {p for p in ra.principal if not isinstance(p, str)}
     for c, add in zip(g.edges[v], ra.added):
         if add is None:
@@ -626,7 +653,11 @@ class Marking:
 def _least_live_child(g: AndOrGraph, v: int) -> int:
     """The least child of or-node ``v`` that is not in ``g.unsat``."""
     unsat = g.unsat
-    return min(c for c in g.child_ids[v] if c not in unsat)
+    least = None
+    for c in g.child_ids[v]:
+        if c not in unsat and (least is None or c < least):
+            least = c
+    return least
 
 
 def _walk(g: AndOrGraph, marked: set, starts) -> list:

@@ -200,10 +200,23 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
 # --------------------------------------------------------------------------
 
 def _atoms_in_labels(rg: RGraph) -> set:
+    """Names of the atoms inside the label concepts; labels share most of
+    their subconcepts, so each distinct one is visited once."""
     names = set()
-    for ls in rg.labels.values():
-        for c in ls:
-            names.update(d.name for d in syntax.subconcepts(c) if d.tag == syntax.ATOM)
+    seen = set()
+    stack = [c for ls in rg.labels.values() for c in ls]
+    while stack:
+        d = stack.pop()
+        if d in seen:
+            continue
+        seen.add(d)
+        if d.tag == syntax.ATOM:
+            names.add(d.name)
+        elif d.tag in (syntax.AND, syntax.OR):
+            stack.append(d.left)
+            stack.append(d.right)
+        elif d.tag in (syntax.NOT, syntax.EXISTS, syntax.FORALL):
+            stack.append(d.child)
     return names
 
 

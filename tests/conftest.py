@@ -4,6 +4,7 @@ import pytest
 
 from alcm.engine import BaseJudgement
 from alcm.parser import parse_kb
+from alcm.randomkb import corpus
 from alcm.syntax import KnowledgeBase, Subsumption, top
 
 HYDRO_TEXT = """
@@ -36,6 +37,19 @@ def thrash_text(n: int) -> str:
     return ("tbox { A subclassof C; B subclassof B or C; }\n"
             f"abox {{ A(b); B(d); not D(a); {extra} }}\n"
             "mbox { b =m D; c =m D; }\n")
+
+
+# Random KBs with several Mbox axioms, so `eq`, `neq` and `close` meet
+# several concept-name pairs in one label: generator seed -> (Mbox axioms
+# at most, individuals, concept names).
+MULTI_PAIR_SETS = {3: (6, "abcdef", "ABCD"), 4: (6, "abcdef", "ABCDEF"),
+                   5: (8, "abcdefg", "ABCDEFG")}
+
+
+def multi_pair_corpus(seed: int, size: int):
+    max_mbox, individuals, names = MULTI_PAIR_SETS[seed]
+    return corpus(seed=seed, size=size, max_mbox=max_mbox, max_abox=6,
+                  individuals=tuple(individuals), concept_names=tuple(names))
 
 
 @pytest.fixture(scope="session")

@@ -52,7 +52,8 @@ from alcm.syntax import (
     rename_mbox,
 )
 
-from conftest import HYDRO_INDIVIDUALS, core_kb, thrash_text
+from conftest import HYDRO_INDIVIDUALS, core_kb, multi_pair_corpus, thrash_text
+from rule_reference import reference_rule
 
 A, B, C, D, E = (atom(x) for x in "ABCDE")
 
@@ -80,6 +81,14 @@ def pigeonhole(n: int) -> str:
     apart = [f"not P{i}_{j} or not P{k}_{j}"
              for j in range(n) for i in range(n + 1) for k in range(i + 1, n + 1)]
     return " and ".join(f"({c})" for c in holes + apart)
+
+
+def tree(n: int) -> str:
+    """C_n: an R-successor in A_n, one not in A_n, and C_{n-1} on every
+    R-successor, with C_0 = top; satisfiable, with 2^n leaves."""
+    if n == 0:
+        return "top"
+    return f"(exists R . A{n}) and (exists R . not A{n}) and (forall R . ({tree(n - 1)}))"
 
 
 def under_exists(body: str) -> KnowledgeBase:
@@ -441,6 +450,87 @@ class TestCores:
         assert len(v.graph.labels) <= 1000
         assert v.consistent
         assert satisfies_kb(model_from_verdict(kb, v), kb)
+
+
+    def test_multi_pair_kb_backjumps_through_eq(self):
+        # 49,747 nodes while an `eq` node's core was its whole Abox, so no
+        # backjump passed an `eq` choice
+        v = check_consistency(multi_pair_corpus(5, 148)[147], node_budget=10_000)
+        assert not v.consistent
+        assert len(v.graph.labels) <= 400
+
+    def test_multi_pair_kb_past_the_budget_before_is_decided(self):
+        # over 50,000 nodes while `eq` took its whole Abox as core; the
+        # oracle runs out of 200,000 steps here, so the model is checked
+        kb = multi_pair_corpus(5, 113)[112]
+        v = check_consistency(kb, node_budget=10_000)
+        assert v.consistent
+        assert len(v.graph.labels) <= 500
+        assert satisfies_kb(model_from_verdict(kb, v), kb)
+
+    def test_eq_cores_are_refuted(self):
+        # an `eq` node's core is the part of its child's core in its own
+        # Abox; the oracle must refute it under the node's Tbox and Mbox.
+        # 52 of these 55 cores are decided within 20,000 steps, 3 are not
+        refuted = unrefereed = 0
+        for seed in (3, 4):
+            for kb in multi_pair_corpus(seed, 200):
+                g = check_consistency(kb, node_budget=50_000).graph
+                for u, core in g.cores.items():
+                    if g.rules[u].rule != "eq":
+                        continue
+                    j = g.labels[u]
+                    assert core <= set(j.abox)
+                    try:
+                        verdict = oracle.decide(core_kb(j, core), step_budget=20_000)
+                    except BudgetExceededError:
+                        unrefereed += 1
+                        continue
+                    assert not verdict.consistent
+                    refuted += 1
+        assert refuted >= 50 and unrefereed <= 5
+
+
+class TestRuleSelection:
+    """`applicable_rule` against the reference strategy of
+    `rule_reference.py`, and each label's hash against one computed from
+    scratch, on every label of the graphs built for several KB sets."""
+
+    @staticmethod
+    def check_labels(kbs) -> set:
+        rules = set()
+        labels = 0
+        for kb in kbs:
+            for j in check_consistency(kb, node_budget=50_000).graph.labels:
+                if j is ABSURDITY:
+                    continue
+                ra = applicable_rule(j)
+                assert ra == reference_rule(j)
+                if ra is not None:
+                    rules.add(ra.rule)
+                assert hash(j) == hash(BaseJudgement(j.tbox, j.abox, j.mbox))
+                if j.abox:
+                    # inserting an assertion the label has gives the label back
+                    same = _extend(j, (j.abox[len(j.abox) // 2],))
+                    assert type(same) is type(j) and same == j and hash(same) == hash(j)
+                labels += 1
+        assert labels >= 100
+        return rules
+
+    def test_first_300_corpus_kbs(self):
+        assert self.check_labels(corpus(seed=20240, size=300)) == set(RULES)
+
+    def test_multi_pair_kbs(self):
+        kbs = multi_pair_corpus(5, 100) + [parse_kb(t) for t in MULTI_PAIR_TEXTS]
+        assert {"eq", "neq", "close"} <= self.check_labels(kbs)
+
+    def test_families(self):
+        texts = ([f"abox {{ ({tree(n)})(a); }}" for n in range(1, 6)]
+                 + [thrash_text(n) for n in (0, 2, 4)]
+                 + [f"abox {{ ({irrelevant_disjunctions(n)})(a); }}" for n in (2, 4, 6)])
+        kbs = [parse_kb(t) for t in texts]
+        kbs += [under_exists(irrelevant_disjunctions(n)) for n in (2, 4, 6)]
+        assert {"trans'", "or'", "and'", "close"} <= self.check_labels(kbs)
 
 
 class TestUnsatNodes:
