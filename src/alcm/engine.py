@@ -244,7 +244,7 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
         # a cycle needs an edge: an atom of an Mbox concept on an Mbox individual
         names = {m.concept_name for m in M}
         if any(a.individual in concept_of and a.concept.name in names for a in atoms):
-            cycle = circular(A, M)
+            cycle = circular(atoms, M)
             if cycle is not None:
                 return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
 
@@ -543,8 +543,7 @@ def _refuted(g: AndOrGraph, v: int):
         dead = [c for c in kids if c in unsat]
         if not dead:
             return None
-        c = min(dead, key=unsat.__getitem__)
-        return _trans_core(g.labels[v], g.rules[v].principal[g.edges[v].index(c)]), None
+        return _trans_core(g, v, min(dead, key=unsat.__getitem__)), None
     ra = g.rules[v]
     for c, add in zip(g.edges[v], ra.added):
         if add is not None and c in unsat and g.cores[c].isdisjoint(add):
@@ -590,14 +589,16 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
     return frozenset(core)
 
 
-def _trans_core(j: BaseJudgement, e: ConceptAssertion) -> frozenset:
-    """Core of a `trans'` node whose role successor for the existential
-    ``e`` is unsat: ``e`` and the universals on the same role and
-    individual, which together built that child."""
+def _trans_core(g: AndOrGraph, v: int, c: int) -> frozenset:
+    """Core of `trans'` node ``v`` whose successor ``c`` is unsat: the existential
+    that built ``c`` and the universals on its role and individual whose concept
+    is in ``c``'s core; with the Tbox they build a successor that holds that core."""
+    j, e, dead = g.labels[v], g.rules[v].principal[g.edges[v].index(c)], g.cores[c]
     x, role = e.individual, e.concept.role
     return frozenset([e] + [a for a in j.abox
                             if type(a) is ConceptAssertion and a.individual == x
-                            and a.concept.tag == syntax.FORALL and a.concept.role == role])
+                            and a.concept.tag == syntax.FORALL and a.concept.role == role
+                            and ConceptAssertion(a.concept.child, ANONYMOUS) in dead])
 
 
 # --------------------------------------------------------------------------

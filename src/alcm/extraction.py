@@ -18,7 +18,6 @@ from .engine import (
     AndOrGraph,
     BaseJudgement,
     Marking,
-    VariableJudgement,
     check_consistency,
     circular,
     difference_witness,
@@ -82,30 +81,32 @@ def build_rgraph(g: AndOrGraph, marking: Marking):
         elif isinstance(a, RoleAssertion):
             edges.setdefault(a.role, set()).add((a.subject, a.object))
 
+    # elements with equal labels are one element: the first name wins
+    element_of: Dict[FrozenSet[Concept], str] = {}
+    for n in names:
+        element_of.setdefault(frozenset(labels[n]), n)
     delta: List[str] = list(names)
-    node_of: Dict[str, int] = {n: terminal_id for n in names}
-    queue = deque(names)
-    var_count = 0
+    queue = deque((n, terminal_id) for n in names)
     while queue:
-        x = queue.popleft()
-        for c in sorted(labels[x], key=lambda d: d.key):
-            if c.tag != syntax.EXISTS:
+        x, u = queue.popleft()
+        if g.kinds[u] != "and":
+            continue
+        # edge i of a trans' node is the successor of its i-th existential;
+        # x's are asserted of x at the terminal, of ANONYMOUS in a successor
+        me = x if u == terminal_id else ANONYMOUS
+        for e, w in zip(g.rules[u].principal, g.edges[u]):
+            if e.individual != me:
                 continue
-            u = node_of[x]
-            ind = ANONYMOUS if type(g.labels[u]) is VariableJudgement else x
-            w0 = g.edges[u][g.rules[u].principal.index(ConceptAssertion(c, ind))]
             # labels only grow along an or-path, so its last one holds them all
-            spath = saturation_path(g, marking, w0)
-            Y = frozenset(a.concept for a in g.labels[spath[-1]].abox)
-            y = next((n for n in delta if frozenset(labels[n]) == Y), None)
+            v = saturation_path(g, marking, w)[-1]
+            Y = frozenset(a.concept for a in g.labels[v].abox)
+            y = element_of.get(Y)
             if y is None:
-                y = f"{VAR_PREFIX}{var_count}"
-                var_count += 1
+                y = element_of[Y] = f"{VAR_PREFIX}{len(delta) - len(names)}"
                 delta.append(y)
-                labels[y] = set(Y)
-                node_of[y] = spath[-1]
-                queue.append(y)
-            edges.setdefault(c.role, set()).add((x, y))
+                labels[y] = Y
+                queue.append((y, v))
+            edges.setdefault(e.concept.role, set()).add((x, y))
 
     rg = RGraph(tuple(delta),
                 {n: frozenset(ls) for n, ls in labels.items()},
@@ -186,10 +187,7 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
         concept_of.setdefault(m.individual, m.concept_name)
     for i, a in enumerate(mdom):
         for b in mdom[i + 1:]:
-            An, Bn = concept_of.get(a), concept_of.get(b)
-            if An is None or Bn is None:
-                continue
-            w = difference_witness(An, Bn)
+            w = difference_witness(concept_of[a], concept_of[b])
             if not any(w in labels[t] for t in delta if t in labels):
                 out.append(Violation("mbox-difference-witness", f"{a} vs {b}"))
     return out
@@ -220,17 +218,23 @@ def _atoms_in_labels(rg: RGraph) -> set:
     return names
 
 
+def _holders(rg: RGraph) -> Dict[str, List[str]]:
+    """Each concept name's holders: the elements labelled with its atom, in order."""
+    holders: Dict[str, List[str]] = {}
+    for x in rg.delta:
+        for c in rg.labels[x]:
+            if c.tag == syntax.ATOM:
+                holders.setdefault(c.name, []).append(x)
+    return holders
+
+
 def meta_order(rg: RGraph, mbox) -> set:
     """Membership precedence: y below a whenever a's concept labels y."""
     concept_of = {}
     for m in sorted(mbox):
         concept_of.setdefault(m.individual, m.concept_name)
-    edges = set()
-    for a, cn in concept_of.items():
-        for y in rg.delta:
-            if syntax.atom(cn) in rg.labels.get(y, frozenset()):
-                edges.add((y, a))
-    return edges
+    holders = _holders(rg)
+    return {(y, a) for a, cn in concept_of.items() for y in holders.get(cn, ())}
 
 
 def unfold_sets(rg: RGraph, mbox) -> Interpretation:
@@ -249,26 +253,20 @@ def unfold_sets(rg: RGraph, mbox) -> Interpretation:
     if cyc is not None:
         raise ValueError("meta-modelling circularity: " + " -> ".join(cyc))
 
+    holders = _holders(rg)
     memo: Dict[str, object] = {}
 
     def unfold(x: str):
         e = memo.get(x)
         if e is None:
             cn = concept_of.get(x)
-            if cn is None:
-                e = el_atom(x)
-            else:
-                member_concept = syntax.atom(cn)
-                e = el_set(unfold(y) for y in rg.delta
-                           if member_concept in rg.labels[y])
+            e = el_atom(x) if cn is None else el_set(unfold(y) for y in holders.get(cn, ()))
             memo[x] = e
         return e
 
     elems = {x: unfold(x) for x in rg.delta}
     names = sorted(_atoms_in_labels(rg) | set(concept_of.values()))
-    concepts = {name: frozenset(elems[x] for x in rg.delta
-                                if syntax.atom(name) in rg.labels[x])
-                for name in names}
+    concepts = {name: frozenset(elems[x] for x in holders.get(name, ())) for name in names}
     roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)
              for r, ps in rg.edges.items()}
     return Interpretation(domain=frozenset(elems.values()),

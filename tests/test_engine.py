@@ -419,6 +419,21 @@ class TestCores:
         assert not v.consistent
         assert len(v.graph.labels) <= 60
 
+    def test_irrelevant_universals_stay_out_of_a_trans_core(self):
+        # 3,072 nodes while a dead role successor gave its trans' node every
+        # universal on its role as core: each disjunction's universal then
+        # blocked the backjump past it, though the clash is A, not A
+        body = " ".join(f"((forall R . C{i}) or D{i})(a);" for i in range(10))
+        kb = parse_kb(f"abox {{ (exists R . A)(a); (forall R . not A)(a); {body} }}")
+        v = check_consistency(kb)
+        g = v.graph
+        assert not v.consistent
+        assert len(g.labels) <= 30
+        for u, core in g.cores.items():
+            if g.kinds[u] == "and":
+                assert core <= set(g.labels[u].abox)
+                assert not oracle.decide(core_kb(g.labels[u], core)).consistent
+
     def test_pigeonhole_in_a_role_successor_backjumps(self):
         # 4,369 nodes without cores in role successors, against 386 when
         # asserted of `a`; each backjump inside the successor rests on a
