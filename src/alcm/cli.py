@@ -42,8 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the and-or graph expansion trace")
     check.add_argument("--stats", action="store_true",
                        help="print graph statistics")
-    check.add_argument("--budget", type=budget, default=DEFAULT_NODE_BUDGET,
-                       metavar="N", help="node budget (default %(default)s)")
+    check.add_argument("--budget", type=budget, metavar="N",
+                       help=f"node budget (default {DEFAULT_NODE_BUDGET}); with "
+                            f"--oracle, step budget (default {oracle.DEFAULT_STEP_BUDGET})")
 
     ent = sub.add_parser("entails", help="decide an entailment query")
     ent.add_argument("file")
@@ -75,9 +76,9 @@ def _run_check(args, kb) -> int:
             print("error: --model/--trace/--stats need the and-or graph engine",
                   file=sys.stderr)
             return 2
-        verdict = oracle.decide(kb)
+        verdict = oracle.decide(kb, args.budget or oracle.DEFAULT_STEP_BUDGET)
     else:
-        verdict = check_consistency(kb, args.budget)
+        verdict = check_consistency(kb, args.budget or DEFAULT_NODE_BUDGET)
     print("consistent" if verdict.consistent else "inconsistent")
     if not verdict.consistent and verdict.certificate is not None:
         print(verdict.certificate.describe())

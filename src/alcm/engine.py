@@ -109,11 +109,12 @@ class VariableJudgement(BaseJudgement):
     __slots__ = ()
 
 
-def make_variable(tbox, concepts) -> VariableJudgement:
+def make_variable(tbox: tuple, concepts) -> VariableJudgement:
+    """A role successor's label; ``tbox`` is a label's Tbox, already canonical."""
     return VariableJudgement(
-        tuple(sorted(set(tbox), key=lambda c: c.key)),
+        tbox,
         tuple(ConceptAssertion(c, ANONYMOUS)
-              for c in sorted(set(concepts), key=lambda c: c.key)),
+              for c in sorted(set(concepts), key=assertion_key)),
         ())
 
 
@@ -122,7 +123,7 @@ def make_base(tbox, abox, mbox) -> BaseJudgement:
     for a in abox:
         if isinstance(a, Equal):
             raise ValueError("base judgements never carry equality assertions")
-    return BaseJudgement(tuple(sorted(set(tbox), key=lambda c: c.key)),
+    return BaseJudgement(tuple(sorted(set(tbox), key=assertion_key)),
                          tuple(sorted(abox, key=assertion_key)),
                          tuple(sorted(set(mbox))))
 
@@ -135,8 +136,8 @@ def _extend(j: BaseJudgement, adds) -> BaseJudgement:
     abox = list(j.abox)
     h = j._hash
     for a in adds:
-        i = bisect_left(abox, assertion_key(a), key=assertion_key)
-        if i == len(abox) or abox[i] != a:
+        i = bisect_left(abox, a.key, key=assertion_key)
+        if i == len(abox) or abox[i] is not a:
             abox.insert(i, a)
             h ^= hash(a)
     return type(j)(j.tbox, tuple(abox), j.mbox, h)
@@ -418,7 +419,7 @@ def initialize_root(kb: KnowledgeBase):
     # individuals that occurred only in (now merged-away) equalities; the
     # Mbox individuals are among them.
     abox.update([ConceptAssertion(c, a) for c in tbox_c for a in dom])
-    return BaseJudgement(tuple(sorted(tbox_c, key=lambda c: c.key)),
+    return BaseJudgement(tuple(sorted(tbox_c, key=assertion_key)),
                          tuple(sorted(abox, key=assertion_key)),
                          tuple(sorted(mbox))), rep
 

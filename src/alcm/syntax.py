@@ -1,16 +1,17 @@
 """Term language for ALCM knowledge bases.
 
-Concepts are hash-consed: constructing the same shape twice returns the same
-object, so structural equality is identity and concepts can be used freely as
-dict keys.  Every concept carries a precomputed structural sort key; that
-fixed total order is what makes judgement labels, rule choices and printed
-output deterministic across runs.
+Concepts and Abox assertions are hash-consed: constructing the same shape
+twice returns the same object, so structural equality is identity and both
+can be used freely as dict keys.  Every concept and assertion carries a
+precomputed structural sort key; that fixed total order is what makes
+judgement labels, rule choices and printed output deterministic across runs.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 # Concept variant tags, in sort-key order.
@@ -33,6 +34,11 @@ class Concept:
 
     def __lt__(self, other: "Concept") -> bool:
         return self.key < other.key
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the intern table, so a copy is the
+        # very object it copies
+        return _intern, (self.tag, self.name, self.role, self.left, self.right, self.child)
 
     def __str__(self) -> str:
         return concept_to_str(self)
@@ -180,9 +186,8 @@ def subconcepts(c: Concept) -> frozenset:
 # Axioms and assertions
 # --------------------------------------------------------------------------
 
-# Axiom and assertion records are frozen dataclasses rather than tuples so
-# that equality is class-aware: a = b and a != b over the same pair must
-# remain distinct set members.
+# Axiom records are frozen dataclasses rather than tuples so that equality
+# is class-aware.
 
 @dataclass(frozen=True)
 class Subsumption:
@@ -196,33 +201,94 @@ class Equivalence:
     rhs: Concept
 
 
-@dataclass(frozen=True)
-class ConceptAssertion:
-    concept: Concept
-    individual: str
+# Assertion records are hash-consed like concepts: one immutable object per
+# class and field tuple, so equality and hashing are by identity and run in
+# C, and Equal(a, b) and NotEqual(a, b) stay distinct set members.  Each
+# carries its sort key, computed once: the class rank, then its fields.
+
+class _Assertion:
+    __slots__ = ("key",)
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
-    role: str
-    subject: str
-    object: str
+def _new_assertion(cls, table: dict, values: tuple, key: tuple):
+    made = object.__new__(cls)
+    for f, v in zip(cls._fields, values):
+        object.__setattr__(made, f, v)
+    object.__setattr__(made, "key", key)
+    # Concurrent reads are lock-free; inserts are serialized.
+    with _table_lock:
+        return table.setdefault(values, made)
 
 
-@dataclass(frozen=True)
-class Equal:
+_concept_assertions: dict = {}
+_role_assertions: dict = {}
+_equalities: dict = {}
+_inequalities: dict = {}
+
+
+class ConceptAssertion(_Assertion):
+    __slots__ = _fields = ("concept", "individual")
+
+    def __new__(cls, concept: Concept, individual: str):
+        k = (concept, individual)
+        a = _concept_assertions.get(k)
+        if a is None:
+            a = _new_assertion(cls, _concept_assertions, k, (0, concept.key, individual))
+        return a
+
+
+class RoleAssertion(_Assertion):
+    __slots__ = _fields = ("role", "subject", "object")
+
+    def __new__(cls, role: str, subject: str, object: str):
+        k = (role, subject, object)
+        a = _role_assertions.get(k)
+        if a is None:
+            a = _new_assertion(cls, _role_assertions, k, (1,) + k)
+        return a
+
+
+class Equal(_Assertion):
     """Individual equality.  Build with equal() so the pair is sorted."""
 
-    left: str
-    right: str
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: str, right: str):
+        k = (left, right)
+        a = _equalities.get(k)
+        if a is None:
+            a = _new_assertion(cls, _equalities, k, (2,) + k)
+        return a
 
 
-@dataclass(frozen=True)
-class NotEqual:
+class NotEqual(_Assertion):
     """Individual inequality.  Build with not_equal() so the pair is sorted."""
 
-    left: str
-    right: str
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: str, right: str):
+        k = (left, right)
+        a = _inequalities.get(k)
+        if a is None:
+            a = _new_assertion(cls, _inequalities, k, (3,) + k)
+        return a
 
 
 def equal(a: str, b: str) -> Equal:
@@ -243,14 +309,8 @@ def tbox_axiom_key(ax: Subsumption | Equivalence):
     return (0 if isinstance(ax, Subsumption) else 1, ax.lhs.key, ax.rhs.key)
 
 
-def assertion_key(a: ConceptAssertion | RoleAssertion | Equal | NotEqual):
-    if isinstance(a, ConceptAssertion):
-        return (0, a.concept.key, a.individual)
-    if isinstance(a, RoleAssertion):
-        return (1, a.role, a.subject, a.object)
-    if isinstance(a, Equal):
-        return (2, a.left, a.right)
-    return (3, a.left, a.right)
+# The stored sort key of an assertion, or of a concept.
+assertion_key = attrgetter("key")
 
 
 def assertion_individuals(a: ConceptAssertion | RoleAssertion | Equal | NotEqual) -> tuple:

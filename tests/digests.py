@@ -1,0 +1,74 @@
+"""Pinned digests of the engine's traces and extracted models.
+
+One digest covers the traces and certificates of the first 100 KBs of
+``corpus(seed=20240)``, the other the models of the consistent KBs among
+the first 300.  A change to which nodes are built, in what order, or to
+which model is extracted must update them on purpose.
+
+Run as a script, it computes both digests once.  Then, for each seed given
+on the command line, it empties the assertion intern tables, re-interns
+every record they held in an order shuffled by that seed, and prints both
+digests again on one line.  Records hash by identity, so this moves every
+set of them into another order; the digests must not change.
+
+    PYTHONPATH=src:tests python tests/digests.py SEED...
+"""
+
+import gc
+import hashlib
+import json
+import random
+import sys
+
+from alcm import syntax
+from alcm.engine import check_consistency, format_trace
+from alcm.extraction import model_from_verdict
+from alcm.randomkb import corpus
+from alcm.semantics import interpretation_to_json
+
+TRACE_DIGEST = "5204eb4cba6eca56bb0aad7d42ff230e8cf7c2dc8686199e30727bdd6192f888"
+MODEL_DIGEST = "d21e70fc3c5d7d9ba9de7019e04e82491cbd4d340a22c1ee6bd6de6148525745"
+
+
+def trace_digest() -> str:
+    h = hashlib.sha256()
+    for kb in corpus(seed=20240, size=100):
+        v = check_consistency(kb)
+        h.update(format_trace(v.graph, v).encode())
+        h.update((v.certificate.describe() if not v.consistent
+                  else "consistent").encode() + b"\n")
+    return h.hexdigest()
+
+
+def model_digest():
+    """The digest and the number of consistent KBs it covers."""
+    h = hashlib.sha256()
+    consistent = 0
+    for kb in corpus(seed=20240, size=300):
+        v = check_consistency(kb)
+        if v.consistent:
+            consistent += 1
+            h.update(json.dumps(interpretation_to_json(model_from_verdict(kb, v)),
+                                sort_keys=True).encode() + b"\n")
+    return h.hexdigest(), consistent
+
+
+def reintern_shuffled(seed: int) -> list:
+    """Empty the assertion intern tables and intern what they held again, in
+    shuffled order; the caller keeps the returned records alive."""
+    tables = (syntax._concept_assertions, syntax._role_assertions,
+              syntax._equalities, syntax._inequalities)
+    held = [(type(a), fields) for t in tables for fields, a in t.items()]
+    for t in tables:
+        t.clear()
+    gc.collect()
+    random.Random(seed).shuffle(held)
+    return [cls(*fields) for cls, fields in held]
+
+
+if __name__ == "__main__":
+    trace_digest()
+    model_digest()
+    for seed in sys.argv[1:]:
+        kept = reintern_shuffled(int(seed))
+        print(trace_digest(), model_digest()[0])

@@ -120,6 +120,16 @@ class TestCheck:
         assert main(["check", hydro_file, "--oracle"]) == 0
         assert main(["check", circular_file, "--oracle"]) == 1
 
+    def test_oracle_budget_bounds_its_steps(self, tmp_path, capsys):
+        # --budget counts the oracle's steps under --oracle; without it the
+        # oracle keeps its own default
+        p = tmp_path / "or.alcm"
+        p.write_text("abox { (A or B)(a); }")
+        assert main(["check", str(p), "--oracle", "--budget", "1"]) == 3
+        assert "step budget (1) exhausted" in capsys.readouterr().err
+        assert main(["check", str(p), "--oracle"]) == 0
+        assert main(["check", str(p), "--oracle", "--budget", "100"]) == 0
+
     def test_oracle_refuses_graph_artifacts(self, hydro_file, tmp_path):
         out = str(tmp_path / "t.txt")
         assert main(["check", hydro_file, "--oracle", "--trace", out]) == 2

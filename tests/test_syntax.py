@@ -1,12 +1,20 @@
 """Concept term language: interning, NNF, subconcepts, substitution."""
 
+import copy
 import gc
 import importlib
+import pickle
 import sys
+import threading
+import uuid
 
+import pytest
 from hypothesis import given, strategies as st
 
 from alcm import syntax
+from alcm.engine import ABSURDITY, check_consistency
+from alcm.parser import parse_kb
+from alcm.randomkb import corpus
 from alcm.syntax import (
     ConceptAssertion,
     Equal,
@@ -194,6 +202,96 @@ class TestRecordEquality:
     def test_pairs_are_canonicalized(self):
         assert equal("b", "a") == Equal("a", "b")
         assert not_equal("b", "a") == NotEqual("a", "b")
+
+
+def reference_assertion_key(a):
+    """The sort key of an assertion as it was computed before assertions
+    stored their own: class rank by isinstance dispatch, then the fields."""
+    if isinstance(a, ConceptAssertion):
+        return (0, a.concept.key, a.individual)
+    if isinstance(a, RoleAssertion):
+        return (1, a.role, a.subject, a.object)
+    if isinstance(a, Equal):
+        return (2, a.left, a.right)
+    return (3, a.left, a.right)
+
+
+class TestRecords:
+    def test_equal_fields_give_one_object(self):
+        assert ConceptAssertion(conj(A, B), "a") is ConceptAssertion(conj(A, B), "a")
+        assert RoleAssertion("R", "a", "b") is RoleAssertion("R", "a", "b")
+        assert Equal("a", "b") is equal("b", "a")
+        assert NotEqual("a", "b") is not_equal("b", "a")
+        assert Equal("a", "b") is not NotEqual("a", "b")
+        assert RoleAssertion("R", "a", "b") is not RoleAssertion("R", "b", "a")
+
+    @pytest.mark.parametrize("record, field", [
+        (ConceptAssertion(A, "a"), "individual"), (RoleAssertion("R", "a", "b"), "role"),
+        (Equal("a", "b"), "left"), (NotEqual("a", "b"), "right")])
+    def test_fields_cannot_be_set(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "z")
+        with pytest.raises(AttributeError):
+            record.key = ()
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) != "z"
+
+    def test_stored_key_orders_every_label_as_the_reference_key(self):
+        labels = 0
+        for kb in corpus(seed=20240, size=300):
+            for j in check_consistency(kb).graph.labels:
+                if j is ABSURDITY:
+                    continue
+                labels += 1
+                assert all(a.key == reference_assertion_key(a) for a in j.abox)
+                assert list(j.abox) == sorted(j.abox, key=reference_assertion_key)
+        assert labels > 3000
+
+    def test_copies_are_the_interned_objects(self):
+        c = conj(A, exists("R", neg(B)))
+        for x in (c, ConceptAssertion(c, "a"), RoleAssertion("R", "a", "b"),
+                  Equal("a", "b"), NotEqual("a", "b")):
+            assert pickle.loads(pickle.dumps(x)) is x
+            assert copy.copy(x) is x
+            assert copy.deepcopy(x) is x
+
+    def test_a_deep_copied_kb_keeps_its_verdict(self):
+        # a copied concept that is not the interned one hides the clash
+        kb = copy.deepcopy(parse_kb("abox { A(a); }"))
+        assert not check_consistency(kb.extended(abox=[ConceptAssertion(neg(A), "a")])).consistent
+
+    def test_one_object_per_key_across_threads(self):
+        tag = uuid.uuid4().hex  # names no earlier call has interned
+        n_threads, n_keys = 6, 300
+        start = threading.Barrier(n_threads, timeout=30)
+        made = [None] * n_threads
+
+        def intern_all(i):
+            start.wait()
+            out = []
+            for k in (range(n_keys) if i % 2 else reversed(range(n_keys))):
+                x = f"{tag}{k}"
+                out.append((k, ConceptAssertion(conj(atom(x), B), x), RoleAssertion("R", x, "z"),
+                            Equal(x, "z"), NotEqual(x, "z")))
+            made[i] = sorted(out, key=lambda t: t[0])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=intern_all, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(m is not None for m in made)
+        for rows in zip(*made):
+            for records in list(zip(*rows))[1:]:
+                assert all(r is records[0] for r in records)
+                assert type(records[0])(*records[0]._values()) is records[0]
 
 
 def _alcm_module_names():
