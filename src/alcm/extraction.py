@@ -237,6 +237,19 @@ def meta_order(rg: RGraph, mbox) -> set:
     return {(y, a) for a, cn in concept_of.items() for y in holders.get(cn, ())}
 
 
+def _unfold(x: str, memo: dict, concept_of: dict, holders: dict):
+    """x's element: an atom, or for a meta-modelled x the set of its concept's
+    holders' elements, each made once and kept in ``memo``.  A module-level
+    function, so the recursion leaves no closure cycle for the collector."""
+    e = memo.get(x)
+    if e is None:
+        cn = concept_of.get(x)
+        e = el_atom(x) if cn is None else el_set(
+            _unfold(y, memo, concept_of, holders) for y in holders.get(cn, ()))
+        memo[x] = e
+    return e
+
+
 def unfold_sets(rg: RGraph, mbox) -> Interpretation:
     """Replace each meta-modelled individual by the set its concept denotes.
 
@@ -255,16 +268,7 @@ def unfold_sets(rg: RGraph, mbox) -> Interpretation:
 
     holders = _holders(rg)
     memo: Dict[str, object] = {}
-
-    def unfold(x: str):
-        e = memo.get(x)
-        if e is None:
-            cn = concept_of.get(x)
-            e = el_atom(x) if cn is None else el_set(unfold(y) for y in holders.get(cn, ()))
-            memo[x] = e
-        return e
-
-    elems = {x: unfold(x) for x in rg.delta}
+    elems = {x: _unfold(x, memo, concept_of, holders) for x in rg.delta}
     names = sorted(_atoms_in_labels(rg) | set(concept_of.values()))
     concepts = {name: frozenset(elems[x] for x in holders.get(name, ())) for name in names}
     roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)

@@ -9,16 +9,24 @@ evaluated in their models.  If one of them satisfies the query's negation,
 the extended KB is consistent, so the answer is "not entailed" and no
 tableau call is made.  A verdict becomes a model only when a query first
 needs it, so a one-off query pays nothing for the session, and a model is
-kept only if `semantics.satisfies_kb` confirms it satisfies K.  An
-"entailed" answer always comes from a tableau call; a query that would run
-out of the node budget may be answered "not entailed" from a model.
+kept only if `semantics.satisfies_kb` confirms it satisfies K.
+
+An inconsistent verdict leaves the core of its root: a part of the root's
+Abox that is unsat with the root's Tbox and Mbox.  The session keeps it
+with that Tbox and Mbox.  Adding assertions or axioms never restores
+consistency, so a later query whose root (built by
+`engine.initialize_root`) holds a kept core in its Abox, and the core's
+Tbox and Mbox in its own, is answered "entailed" with no tableau call.  The
+root is built only once the session holds a core and no model has refuted
+the query.  A query that would run out of the node budget may thus be
+answered from a model or from a core.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .engine import DEFAULT_NODE_BUDGET, check_consistency
+from .engine import DEFAULT_NODE_BUDGET, check_consistency, initialize_root
 from .errors import UnknownNameError
 from .extraction import model_from_verdict
 from .semantics import Interpretation, el_set, holds, satisfies_kb
@@ -41,17 +49,20 @@ QUERY_FRESH = "q#0"  # reserved name, unreachable from the input grammar
 
 
 class _Session:
-    """Models of one KB, from the consistent verdicts of its earlier queries.
+    """Models of one KB, from the consistent verdicts of its earlier queries,
+    and root cores, from the inconsistent ones.
 
-    It holds one model per query that no model before it had refuted.  A
-    query that makes a tableau call has first turned every waiting verdict
-    into a model, so only one verdict waits unless queries run concurrently.
+    It holds one model per query that no model before it had refuted, and
+    one core per query that no core before it had refuted.  A query that
+    makes a tableau call has first turned every waiting verdict into a
+    model, so only one verdict waits unless queries run concurrently.
     """
 
     def __init__(self, kb):
         self.kb = kb
         self.verdicts = []  # consistent verdicts not yet turned into models
         self.models = []
+        self.cores = []  # (Tbox, Mbox, core) of each refuted root, as frozensets
 
     def falsifies(self, axiom) -> bool:
         """Some model of the KB kept here satisfies the axiom's negation,
@@ -66,6 +77,22 @@ class _Session:
             if _negation_holds(m, axiom):
                 return True
         return False
+
+    def refutes(self, extended) -> bool:
+        """Some kept core, with its Tbox and Mbox, lies in the root of the
+        extended KB, which is therefore inconsistent."""
+        if not self.cores:
+            return False
+        root = initialize_root(extended)[0]
+        tbox, abox, mbox = set(root.tbox), set(root.abox), set(root.mbox)
+        return any(t <= tbox and m <= mbox and core <= abox for t, m, core in self.cores)
+
+    def keep_core(self, verdict):
+        """Keep the core of an inconsistent verdict's root, with the root's
+        Tbox and Mbox."""
+        g = verdict.graph
+        root = g.labels[g.root]
+        self.cores.append((frozenset(root.tbox), frozenset(root.mbox), g.cores[g.root]))
 
 
 def _negation_holds(m: Interpretation, axiom) -> bool:
@@ -93,7 +120,9 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
     (not C)(a); of a = b, a != b and back; of a =m A, a fresh b with
     b =m A and a != b.  Individuals the axiom names must occur in the KB.
     A query on the KB of the previous one is first evaluated in the models
-    that the earlier queries on it found (see the module docstring).
+    that the earlier queries on it found, then its root is matched against
+    the cores they left (see the module docstring), so "not entailed" may
+    come from a model and "entailed" from a core.
     """
     mbox = ()
     if type(axiom) is Subsumption:
@@ -118,6 +147,7 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
     for name in names:
         if name not in known:
             raise UnknownNameError(f"individual {name!r} does not occur in the KB")
+    extended = kb.extended(abox=abox, mbox=mbox)
     global _session
     with _session_lock:
         if _session.kb != kb:
@@ -125,12 +155,15 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
         session = _session
         if session.falsifies(axiom):
             return False
-    verdict = check_consistency(kb.extended(abox=abox, mbox=mbox), node_budget)
-    if not verdict.consistent:
-        return True
+        if session.refutes(extended):
+            return True
+    verdict = check_consistency(extended, node_budget)
     with _session_lock:
-        session.verdicts.append(verdict)
-    return False
+        if verdict.consistent:
+            session.verdicts.append(verdict)
+        else:
+            session.keep_core(verdict)
+    return not verdict.consistent
 
 
 def entails_instance(kb: KnowledgeBase, c: Concept, a: str,

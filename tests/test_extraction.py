@@ -1,5 +1,6 @@
 """Model extraction: saturation paths, R-graphs, nested-set unfolding."""
 
+import gc
 import time
 
 import pytest
@@ -315,6 +316,17 @@ class TestExtractModel:
         assert satisfies_kb(interp, kb)
         if merges:
             assert interp.individuals["b"] is interp.individuals["a"]
+
+    def test_extraction_leaves_nothing_for_the_cyclic_collector(self, hydro_kb):
+        # reference counting alone frees everything extraction builds
+        v = check_consistency(hydro_kb)
+        gc.collect()
+        gc.disable()
+        try:
+            model_from_verdict(hydro_kb, v)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unfolded_set_identity_is_injective(self, hydro_kb):
         v = check_consistency(hydro_kb)

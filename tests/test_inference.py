@@ -55,6 +55,22 @@ mbox { dam =m Dam; }
 """
 
 
+@pytest.fixture()
+def asked(monkeypatch):
+    """``asked(kb, axiom[, budget])``: entails' answer, on a fresh session,
+    and the tableau calls it made."""
+    monkeypatch.setattr(inference, "_session", inference._Session(None))
+    calls = []
+    check = inference.check_consistency
+    monkeypatch.setattr(inference, "check_consistency",
+                        lambda kb, budget: calls.append(kb) or check(kb, budget))
+
+    def ask(kb, axiom, budget=DEFAULT_NODE_BUDGET):
+        before = len(calls)
+        return entails(kb, axiom, budget), len(calls) - before
+    return ask
+
+
 class TestEntails:
     def test_each_axiom_kind(self, hydro_kb):
         River, Lake = atom("River"), atom("Lake")
@@ -103,7 +119,37 @@ class TestEntails:
         assert asked(kb, refuted[0][0]) == (False, 1)
         for axiom in entailed:
             assert asked(kb, axiom) == (True, 1)
-            assert asked(kb, axiom) == (True, 1)
+            # the root core the first ask left lies in the same root again
+            assert asked(kb, axiom) == (True, 0)
+
+    def test_a_root_holding_a_kept_core_is_entailed_with_no_call(self, hydro_kb, asked):
+        # deRocha = queguay merges queguay into deRocha, and the root's core
+        # is River, Lake and (not River or not Lake) of deRocha; merging
+        # santaLucia into deRocha gives a root that holds the same three.
+        assert asked(hydro_kb, not_equal("deRocha", "queguay")) == (True, 1)
+        assert asked(hydro_kb, not_equal("deRocha", "santaLucia")) == (True, 0)
+
+    def test_an_inconsistent_kb_costs_one_call(self, hydro_circular_kb, asked):
+        # the first root's core is the membership cycle through river, which
+        # every later root holds: no query here merges river away
+        River, Lake = atom("River"), atom("Lake")
+        queries = [ConceptAssertion(Lake, "queguay"), Subsumption(River, Lake),
+                   MboxAxiom("queguay", "River"), equal("river", "lake"),
+                   not_equal("queguay", "deRocha"), Subsumption(top(), bot())]
+        got = [asked(hydro_circular_kb, axiom) for axiom in queries]
+        assert [calls for _, calls in got] == [1] + [0] * (len(queries) - 1)
+        for (answer, _), axiom in zip(got, queries):
+            reduced = reduction(hydro_circular_kb, axiom)
+            assert answer == (not oracle.decide(reduced, ORACLE_BUDGET).consistent)
+
+    def test_no_core_crosses_kbs(self, asked):
+        k1 = parse_kb(SESSION_TEXT)
+        k2 = parse_kb("abox { Dam(itaipu); Wall(hadrian); } mbox { dam =m Dam; }")
+        axiom = ConceptAssertion(atom("Wall"), "itaipu")
+        assert asked(k1, axiom) == (True, 1)
+        assert asked(k2, axiom) == (False, 1)
+        # k1's cores went with its session
+        assert asked(k1, axiom) == (True, 1)
 
     def test_a_model_without_the_set_an_mbox_query_needs_refutes_nothing(self):
         # KB #46 of seed 20240 forces A onto every element, so no element can
@@ -327,11 +373,42 @@ class TestSessionAgreement:
             assert all(satisfies_kb(m, kb) for m in self.kept_models(kb))
         assert asked > 300 and answered_from_models > asked // 10 and unrefereed < 10
 
-    def test_threads_sharing_the_session(self, hydro_kb, monkeypatch):
-        # Two KBs asked in turn by more threads than cores: the one session
+    def test_a_session_per_kb_answers_as_a_fresh_one_per_query(self, asked, monkeypatch):
+        # Distinct queries over 200 corpus KBs, each KB's in a shuffled
+        # order through one session, against a fresh session per query.
+        rng = random.Random(7)
+        total = from_cores = 0
+        for kb in corpus(seed=20240, size=200):
+            inds = kb.individuals()
+            names = sorted(kb.mbox_range() | {"A", "B"})
+            queries = {ConceptAssertion(c, a) for a in inds
+                       for n in names for c in (atom(n), neg(atom(n)))}
+            queries |= {MboxAxiom(a, n) for a in inds for n in names}
+            queries |= {Subsumption(atom(m), atom(n)) for m in names for n in names if m != n}
+            queries |= {f(a, b) for a in inds for b in inds if a < b
+                        for f in (equal, not_equal)}
+            queries = rng.sample(sorted(queries, key=repr), min(25, len(queries)))
+            expected = []
+            for axiom in queries:
+                self.fresh_session(monkeypatch)
+                expected.append(entails(kb, axiom))
+            self.fresh_session(monkeypatch)
+            for axiom, want in zip(queries, expected):
+                got, calls = asked(kb, axiom)
+                assert got == want, (kb, axiom)
+                from_cores += got and not calls
+                total += 1
+        assert total > 4000 and from_cores > total // 10
+
+    def test_threads_sharing_the_session(self, hydro_kb, hydro_circular_kb, monkeypatch):
+        # Three KBs asked in turn by more threads than cores: the one session
         # slot changes hands all the time, and no answer may change with it.
+        # Each thread asks every query twice, so an entailed query may meet
+        # the core of its own first ask, or of another thread's; on the
+        # inconsistent KB every query is entailed.
         kbs = (hydro_kb,
-               hydro_kb.extended(tbox=[Subsumption(atom("River"), atom("HydrographicObject"))]))
+               hydro_kb.extended(tbox=[Subsumption(atom("River"), atom("HydrographicObject"))]),
+               hydro_circular_kb)
         battery = [(kb, service, args) for kb in kbs
                    for service, args in hydro_battery(hydro_kb, monkeypatch)]
         expected = []
@@ -341,12 +418,15 @@ class TestSessionAgreement:
         results, errors = {}, []
 
         def ask(seed):
-            order = list(range(len(battery)))
+            order = list(range(len(battery))) * 2
             random.Random(seed).shuffle(order)
+            got = {i: [] for i in order}
             try:
-                results[seed] = {i: battery[i][1](battery[i][0], *battery[i][2]) for i in order}
+                for i in order:
+                    got[i].append(battery[i][1](battery[i][0], *battery[i][2]))
             except Exception as e:  # reported by the main thread
                 errors.append(e)
+            results[seed] = got
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -359,5 +439,6 @@ class TestSessionAgreement:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not errors
+        assert len(results) == len(threads)
         for got in results.values():
-            assert [got[i] for i in range(len(battery))] == expected
+            assert [got[i] for i in range(len(battery))] == [[e, e] for e in expected]
