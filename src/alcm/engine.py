@@ -12,6 +12,15 @@ so a label holds at most one per ordered pair of Mbox concept names, and
 the set of labels stays finite without renaming.  Expansion order, rule
 choice and tie-breaking are all fixed by the structural total orders,
 which makes graphs, verdicts and traces reproducible byte for byte.
+
+The Tbox is absorbed (Horrocks & Tobies, "Reasoning with Axioms: Theory
+and Practice", KR 2000): a Tbox concept whose flattened disjunction has a
+disjunct ``not A`` is read as an axiom ``A subclassof D`` and applied by the
+`unfold` rule only to elements that carry ``A``.  The remaining, general
+concepts go on every element: on each named individual at the root, on
+each fresh individual of `neq`, and on each role successor.  Labels still
+carry the whole Tbox, so caching, cores and the oracle's reading of a
+label as a KB see the internalised Tbox as before.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
 from typing import Dict, List, Optional, Tuple
 
@@ -39,6 +48,7 @@ from .syntax import (
     concept_to_str,
     conj,
     disj,
+    disjuncts,
     neg,
     nnf,
     nnf_tbox,
@@ -57,7 +67,8 @@ ANONYMOUS = "x#"
 BOTTOM_RULES = ("bot1", "bot2", "bot3")
 
 # Every rule name, in the order the strategy tries them.
-RULES = ("bot1", "bot2", "bot3", "and'", "all", "eq", "neq", "or'", "close", "trans'")
+RULES = ("bot1", "bot2", "bot3", "and'", "all", "unfold", "eq", "neq", "or'", "close",
+         "trans'")
 
 
 class _Absurdity:
@@ -154,6 +165,40 @@ class RuleApplication:
     # Abox, keeping its Tbox and Mbox, or None for the merged branch of
     # `close`.  Empty for rules whose conclusions are built another way.
     added: tuple = ()
+
+
+# --------------------------------------------------------------------------
+# Absorption
+# --------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def absorb(tbox: tuple):
+    """Split a label's NNF Tbox into general concepts and absorbed axioms.
+
+    A concept whose flattened disjunction, with repeated disjuncts dropped,
+    has a disjunct ``not A`` and at least one other disjunct is absorbed on
+    its least ``not A`` by key, as the axiom ``A subclassof D``, where D is
+    the disjunction of the other disjuncts, left-nested in their order.
+    Every other concept is general; among them a lone ``not A``, which
+    never branches and keeps ``A subclassof bot`` clashing as
+    ``A(x) / not A(x)``.
+
+    Returns the general concepts in key order, and a dict that maps each
+    absorbing atom, in key order, to its Ds, in key order.  The result is
+    shared by every caller with an equal Tbox, so it must not be mutated.
+    """
+    general, absorbed = [], {}
+    for c in sorted(tbox, key=assertion_key):
+        ds = list(dict.fromkeys(disjuncts(c)))
+        negated = [d for d in ds if d.tag == syntax.NOT]
+        if not negated or len(ds) == 1:
+            general.append(c)
+            continue
+        on = min(negated, key=assertion_key)
+        ds.remove(on)
+        absorbed.setdefault(on.child, set()).add(reduce(disj, ds))
+    return tuple(general), {a: tuple(sorted(absorbed[a], key=assertion_key))
+                            for a in sorted(absorbed, key=assertion_key)}
 
 
 # --------------------------------------------------------------------------
@@ -264,6 +309,17 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
                     adds = (ConceptAssertion(c.child, r.object),)
                     return RuleApplication("all", "or", (a, r), j, (_extend(j, adds),),
                                            (adds,))
+    general, absorbed = absorb(T)
+    if absorbed:
+        for a in atoms:
+            ds = absorbed.get(a.concept)
+            if ds is not None:
+                x = a.individual
+                have = by_ind[x]
+                adds = tuple(ConceptAssertion(d, x) for d in ds if d not in have)
+                if adds:
+                    return RuleApplication("unfold", "or", (a,), j, (_extend(j, adds),),
+                                           (adds,))
     # the Mbox is sorted, so an individual's axioms are adjacent
     for keep, drop in zip(M, M[1:]):
         if keep.individual == drop.individual:
@@ -281,7 +337,8 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             if not any(b.concept is w for b in ors):
                 nfresh = sum(1 for n in abox_individuals(A) if n.startswith(FRESH_PREFIX))
                 d0 = f"{FRESH_PREFIX}{nfresh}"
-                adds = (ConceptAssertion(w, d0),) + tuple(ConceptAssertion(c, d0) for c in T)
+                adds = (ConceptAssertion(w, d0),) + tuple(ConceptAssertion(c, d0)
+                                                          for c in general)
                 return RuleApplication("neq", "or", (a, An, Bn), j, (_extend(j, adds),),
                                        (adds,))
 
@@ -306,7 +363,8 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
                                            (merged, _extend(j, adds)), (None, adds))
 
     # Transitional rule: each existential's successor gets its concept, the
-    # concepts of the universals on its role and individual, and the Tbox.
+    # concepts of the universals on its role and individual, and the general
+    # Tbox concepts.
     if exs:
         universals: Dict[Tuple[str, str], list] = {}
         for a in alls:
@@ -315,7 +373,7 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
         for e in exs:
             c = e.concept
             xs = [c.child] + universals.get((e.individual, c.role), [])
-            concls.append(make_variable(T, xs + list(T)))
+            concls.append(make_variable(T, xs + list(general)))
         return RuleApplication("trans'", "and", tuple(exs), j, tuple(concls))
     return None
 
@@ -364,7 +422,8 @@ def initialize_root(kb: KnowledgeBase):
     """Initial base judgement plus the equality-merge map it was built with.
 
     Equalities are merged away by union-find (least name wins); the Tbox, in
-    NNF, is instantiated on every individual in sight.  An inequality that
+    NNF, is the label's, and its general concepts (see `absorb`) are
+    instantiated on every individual in sight.  An inequality that
     collapses to `a != a` is kept for the bottom rules to catch.  One pass
     over the Abox puts concept assertions in NNF and collects the
     individuals and the equalities; the renaming runs only if there is an
@@ -415,12 +474,12 @@ def initialize_root(kb: KnowledgeBase):
         rep = {n: n for n in names}
         dom = names
 
-    # Every original individual's representative gets the Tbox, including
-    # individuals that occurred only in (now merged-away) equalities; the
-    # Mbox individuals are among them.
-    abox.update([ConceptAssertion(c, a) for c in tbox_c for a in dom])
-    return BaseJudgement(tuple(sorted(tbox_c, key=assertion_key)),
-                         tuple(sorted(abox, key=assertion_key)),
+    # Every original individual's representative gets the general Tbox
+    # concepts, including individuals that occurred only in (now merged-away)
+    # equalities; the Mbox individuals are among them.
+    tbox = tuple(sorted(tbox_c, key=assertion_key))
+    abox.update([ConceptAssertion(c, a) for c in absorb(tbox)[0] for a in dom])
+    return BaseJudgement(tbox, tuple(sorted(abox, key=assertion_key)),
                          tuple(sorted(mbox))), rep
 
 
@@ -561,7 +620,8 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
     Otherwise it is the principal assertions plus, for each child, the part
     of the child's core that lies in v's Abox: its core minus what it added,
     or for the merged branch of `close` the assertions the merge renames
-    into its core.  The absurdity child of `bot1` and `bot2` adds nothing.
+    into its core.  The absurdity child of `bot1` and `bot2` adds nothing;
+    what `unfold` adds follows from its principal ``A(x)`` and the Tbox.
     For `eq` it is the part of the child's core that lies in v's Abox: the
     child's Mbox is part of v's, and the Tbox axioms and witness assertions
     it adds follow from v's two Mbox axioms on one individual, which make

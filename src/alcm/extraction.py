@@ -31,6 +31,7 @@ from .syntax import (
     RoleAssertion,
     abox_individuals,
     concept_to_str,
+    disjuncts,
 )
 
 VAR_PREFIX = "y#"
@@ -150,9 +151,16 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
                 if not any(c.child in labels[y]
                            for y in succ.get(x, {}).get(c.role, ())):
                     out.append(Violation("exist", f"{concept_to_str(c)} on {x}"))
+    # A Tbox concept holds on x, as x's label reads it, when it is in the
+    # label, when one of its disjuncts is, or when a disjunct `not A` has A
+    # absent from the label; this holds however the Tbox was put on elements.
     for c in terminal.tbox:
+        ds = disjuncts(c)
+        negated = [d.child for d in ds if d.tag == syntax.NOT]
         for x in delta:
-            if c not in labels[x]:
+            ls = labels[x]
+            if not (c in ls or any(d in ls for d in ds)
+                    or any(a not in ls for a in negated)):
                 out.append(Violation("tbox", f"{concept_to_str(c)} missing on {x}"))
 
     abox, mbox = terminal.abox, terminal.mbox

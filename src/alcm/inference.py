@@ -16,7 +16,9 @@ Abox that is unsat with the root's Tbox and Mbox.  The session keeps it
 with that Tbox and Mbox.  Adding assertions or axioms never restores
 consistency, so a later query whose root (built by
 `engine.initialize_root`) holds a kept core in its Abox, and the core's
-Tbox and Mbox in its own, is answered "entailed" with no tableau call.  The
+Tbox and Mbox in its own, is answered "entailed" with no tableau call.
+The core and its Mbox are matched after renaming by the root's merge map,
+so a query that merges an individual named in a core still meets it.  The
 root is built only once the session holds a core and no model has refuted
 the query.  A query that would run out of the node budget may thus be
 answered from a model or from a core.
@@ -43,6 +45,8 @@ from .syntax import (
     neg,
     nnf,
     not_equal,
+    rename_abox,
+    rename_mbox,
 )
 
 QUERY_FRESH = "q#0"  # reserved name, unreachable from the input grammar
@@ -80,12 +84,18 @@ class _Session:
 
     def refutes(self, extended) -> bool:
         """Some kept core, with its Tbox and Mbox, lies in the root of the
-        extended KB, which is therefore inconsistent."""
+        extended KB, which is therefore inconsistent.
+
+        Each core and its Mbox are first renamed by the merge map the root
+        was built with.  A renamed core stays unsat: a model of it is a model
+        of the original core that sends each merged name to its
+        representative's element."""
         if not self.cores:
             return False
-        root = initialize_root(extended)[0]
+        root, rep = initialize_root(extended)
         tbox, abox, mbox = set(root.tbox), set(root.abox), set(root.mbox)
-        return any(t <= tbox and m <= mbox and core <= abox for t, m, core in self.cores)
+        return any(t <= tbox and rename_mbox(m, rep) <= mbox
+                   and rename_abox(core, rep) <= abox for t, m, core in self.cores)
 
     def keep_core(self, verdict):
         """Keep the core of an inconsistent verdict's root, with the root's

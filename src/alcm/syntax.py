@@ -182,6 +182,21 @@ def subconcepts(c: Concept) -> frozenset:
     return frozenset(out)
 
 
+def disjuncts(c: Concept) -> list:
+    """The operands of a flattened disjunction, left to right; ``[c]`` for a
+    concept that is not a disjunction."""
+    out = []
+    stack = [c]
+    while stack:
+        d = stack.pop()
+        if d.tag == OR:
+            stack.append(d.right)
+            stack.append(d.left)
+        else:
+            out.append(d)
+    return out
+
+
 # --------------------------------------------------------------------------
 # Axioms and assertions
 # --------------------------------------------------------------------------

@@ -39,6 +39,14 @@ def thrash_text(n: int) -> str:
             "mbox { b =m D; c =m D; }\n")
 
 
+# A chain of n atomic subsumptions A0 ... An from A0(a), beside n
+# individuals that no axiom's left side reaches.  Consistent for every n.
+def tbox_chain_text(n: int) -> str:
+    axioms = " ".join(f"A{i} subclassof A{i + 1};" for i in range(n))
+    others = " ".join(f"C(b{j});" for j in range(n))
+    return f"tbox {{ {axioms} }}\nabox {{ A0(a); {others} }}\n"
+
+
 # Random KBs with several Mbox axioms, so `eq`, `neq` and `close` meet
 # several concept-name pairs in one label: generator seed -> (Mbox axioms
 # at most, individuals, concept names).

@@ -26,8 +26,8 @@ from alcm.extraction import model_from_verdict
 from alcm.randomkb import corpus
 from alcm.semantics import interpretation_to_json
 
-TRACE_DIGEST = "5204eb4cba6eca56bb0aad7d42ff230e8cf7c2dc8686199e30727bdd6192f888"
-MODEL_DIGEST = "d21e70fc3c5d7d9ba9de7019e04e82491cbd4d340a22c1ee6bd6de6148525745"
+TRACE_DIGEST = "67ce89d23b723af5334aaea2f09ef75c9e2db7d086c648a31f0a1341268ba6b5"
+MODEL_DIGEST = "17f02372fcfbe3b19c0eef7da8152f22749e33f7930c9d3c789f15c4a79ff1f7"
 
 
 def trace_digest() -> str:

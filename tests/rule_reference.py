@@ -4,9 +4,11 @@
 scans each list on its own.  This is the direct reading of the strategy it
 must agree with: each class of rules walks the whole Abox again, and every
 candidate is tested against a per-individual concept index.  The tests
-compare the two on every label of their graphs.
+compare the two on every label of their graphs.  Absorption is written out
+here too, as `reference_absorb`, apart from `engine.absorb`.
 """
 
+from functools import reduce
 from typing import Dict, Tuple
 
 from alcm import engine, syntax
@@ -32,6 +34,33 @@ from alcm.syntax import (
 )
 
 
+def _flat(c):
+    if c.tag == syntax.OR:
+        return _flat(c.left) + _flat(c.right)
+    return [c]
+
+
+def reference_absorb(tbox):
+    """``(general, axioms)``: the Tbox concepts with no negated-atom disjunct
+    beside another disjunct, in key order, and the absorbed axioms as a
+    sorted list of ``(A, D)`` pairs, each absorbed on its least negated
+    atom, with D the other disjuncts, repeats dropped, left-nested."""
+    general, axioms = [], set()
+    for c in tbox:
+        ds = []
+        for d in _flat(c):
+            if d not in ds:
+                ds.append(d)
+        negated = sorted((d for d in ds if d.tag == syntax.NOT), key=lambda d: d.key)
+        if negated and len(ds) > 1:
+            rest = [d for d in ds if d is not negated[0]]
+            axioms.add((negated[0].child, reduce(disj, rest)))
+        else:
+            general.append(c)
+    return (sorted(general, key=lambda d: d.key),
+            sorted(axioms, key=lambda ad: (ad[0].key, ad[1].key)))
+
+
 def reference_rule(j):
     """The rule application the strategy picks for ``j``, or None."""
     T, A, M = j.tbox, j.abox, j.mbox
@@ -55,6 +84,8 @@ def reference_rule(j):
     concept_of = {}
     for m in M:
         concept_of.setdefault(m.individual, m.concept_name)
+
+    general, axioms = reference_absorb(T)
 
     # Bottom rules first.
     for a in A:
@@ -92,6 +123,13 @@ def reference_rule(j):
                     adds = (ConceptAssertion(c.child, r.object),)
                     return RuleApplication("all", "or", (a, r), j, (_extend(j, adds),),
                                            (adds,))
+    for a in A:
+        if type(a) is ConceptAssertion and a.concept.tag == syntax.ATOM:
+            x = a.individual
+            adds = tuple(ConceptAssertion(d, x) for at, d in axioms
+                         if at is a.concept and d not in by_ind[x])
+            if adds:
+                return RuleApplication("unfold", "or", (a,), j, (_extend(j, adds),), (adds,))
     for ind in mdom:
         axs = [m for m in M if m.individual == ind]
         if len(axs) >= 2:
@@ -110,7 +148,7 @@ def reference_rule(j):
             if not any(w in cs for cs in by_ind.values()):
                 nfresh = sum(1 for n in individuals if n.startswith(FRESH_PREFIX))
                 d0 = f"{FRESH_PREFIX}{nfresh}"
-                adds = (ConceptAssertion(w, d0),) + tuple(ConceptAssertion(c, d0) for c in T)
+                adds = (ConceptAssertion(w, d0),) + tuple(ConceptAssertion(c, d0) for c in general)
                 return RuleApplication("neq", "or", (a, An, Bn), j, (_extend(j, adds),),
                                        (adds,))
 
@@ -134,7 +172,7 @@ def reference_rule(j):
                     return RuleApplication("close", "or", (a, b), j,
                                            (merged, _extend(j, adds)), (None, adds))
 
-    # Transitional rule.
+    # Transitional rule: the general Tbox concepts go on every successor.
     existentials = [a for a in A
                     if type(a) is ConceptAssertion and a.concept.tag == syntax.EXISTS]
     if existentials:
@@ -143,6 +181,6 @@ def reference_rule(j):
             c, x = e.concept, e.individual
             xs = [c.child] + [d.child for d in sorted(by_ind[x], key=lambda d: d.key)
                               if d.tag == syntax.FORALL and d.role == c.role]
-            concls.append(make_variable(T, xs + list(T)))
+            concls.append(make_variable(T, xs + general))
         return RuleApplication("trans'", "and", tuple(existentials), j, tuple(concls))
     return None

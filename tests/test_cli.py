@@ -10,7 +10,7 @@ import pytest
 import alcm
 from alcm.cli import main
 
-from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_INDIVIDUALS, HYDRO_TEXT, thrash_text
+from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_INDIVIDUALS, HYDRO_TEXT
 
 
 @pytest.fixture()
@@ -97,24 +97,27 @@ class TestCheck:
         p.write_text(EXAMPLE_GRAPH_TEXT)
         assert main(["check", str(p), "--stats"]) == 0
         out = capsys.readouterr().out
-        # one count per rule in the fixed order, summing to the 21 expanded
+        # one count per rule in the fixed order, summing to the 20 expanded
         # nodes of this graph (none of which is an end node); role
         # successors count under the same rules as named individuals
-        assert "nodes: 27 built, 21 expanded\n" in out
-        assert ("rules: bot1=3 bot2=0 bot3=1 and'=3 all=0 "
-                "eq=1 neq=1 or'=7 close=1 trans'=4\n") in out
+        assert "nodes: 24 built, 20 expanded\n" in out
+        assert ("rules: bot1=2 bot2=0 bot3=1 and'=3 all=0 unfold=3 "
+                "eq=1 neq=1 or'=4 close=1 trans'=4\n") in out
 
     def test_stats_count_backjumps(self, tmp_path, capsys):
-        p = tmp_path / "thrash.alcm"
-        p.write_text(thrash_text(0))
+        p = tmp_path / "backjump.alcm"
+        p.write_text("tbox { A subclassof exists R . B; }"
+                     " abox { (A or C)(a); (X0 or Y0)(a); (X1 or Y1)(a);"
+                     " (forall R . not B)(a); }")
         assert main(["check", str(p), "--stats"]) == 0
         out = capsys.readouterr().out
-        # six disjunctions are refuted with their right disjunct unexpanded:
-        # four above the `close` whose separated branch dies, since its core
-        # {A(b), not A(c)} lies in their Abox, and two above the dead neq
-        # witness
-        assert "nodes: 41 built, 28 expanded\n" in out
-        assert "backjumps: 6\n" in out
+        # under A(a), unfolding A subclassof exists R . B gives a dead
+        # R-successor whose trans' core {exists R . B(a), forall R . not B(a)}
+        # lies in the Abox of the two disjunctions of X and Y above it: both
+        # are refuted with their right disjunct unexpanded; the unfold node
+        # added exists R . B(a), so the C branch is tried and closes
+        assert "nodes: 14 built, 9 expanded\n" in out
+        assert "backjumps: 2\n" in out
 
     def test_oracle_flag(self, hydro_file, circular_file, capsys):
         assert main(["check", hydro_file, "--oracle"]) == 0

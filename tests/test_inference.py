@@ -124,8 +124,9 @@ class TestEntails:
 
     def test_a_root_holding_a_kept_core_is_entailed_with_no_call(self, hydro_kb, asked):
         # deRocha = queguay merges queguay into deRocha, and the root's core
-        # is River, Lake and (not River or not Lake) of deRocha; merging
-        # santaLucia into deRocha gives a root that holds the same three.
+        # is River and Lake of deRocha, which unfolding Lake subclassof not
+        # River refutes; merging santaLucia into deRocha gives a root that
+        # holds the same two.
         assert asked(hydro_kb, not_equal("deRocha", "queguay")) == (True, 1)
         assert asked(hydro_kb, not_equal("deRocha", "santaLucia")) == (True, 0)
 
@@ -141,6 +142,15 @@ class TestEntails:
         for (answer, _), axiom in zip(got, queries):
             reduced = reduction(hydro_circular_kb, axiom)
             assert answer == (not oracle.decide(reduced, ORACLE_BUDGET).consistent)
+
+    def test_a_kept_core_is_renamed_by_the_roots_merges(self, hydro_circular_kb, asked):
+        # the first root's core is the membership cycle through river;
+        # lake != river is asked as K plus lake = river, whose root merges
+        # river into lake, and the core renamed the same way lies in it
+        assert asked(hydro_circular_kb, equal("lake", "river")) == (True, 1)
+        assert asked(hydro_circular_kb, not_equal("lake", "river")) == (True, 0)
+        reduced = reduction(hydro_circular_kb, not_equal("lake", "river"))
+        assert not oracle.decide(reduced, ORACLE_BUDGET).consistent
 
     def test_no_core_crosses_kbs(self, asked):
         k1 = parse_kb(SESSION_TEXT)

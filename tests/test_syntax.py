@@ -239,7 +239,7 @@ class TestRecords:
 
     def test_stored_key_orders_every_label_as_the_reference_key(self):
         labels = 0
-        for kb in corpus(seed=20240, size=300):
+        for kb in corpus(seed=20240, size=400):
             for j in check_consistency(kb).graph.labels:
                 if j is ABSURDITY:
                     continue
