@@ -40,6 +40,7 @@ from .syntax import (
     MboxAxiom,
     NotEqual,
     Subsumption,
+    abox_individuals,
     conj,
     equal,
     neg,
@@ -66,7 +67,9 @@ class _Session:
         self.kb = kb
         self.verdicts = []  # consistent verdicts not yet turned into models
         self.models = []
-        self.cores = []  # (Tbox, Mbox, core) of each refuted root, as frozensets
+        # (Tbox, Mbox, core, the core's individuals) of each refuted root,
+        # as frozensets
+        self.cores = []
 
     def falsifies(self, axiom) -> bool:
         """Some model of the KB kept here satisfies the axiom's negation,
@@ -94,15 +97,23 @@ class _Session:
             return False
         root, rep = initialize_root(extended)
         tbox, abox, mbox = set(root.tbox), set(root.abox), set(root.mbox)
-        return any(t <= tbox and rename_mbox(m, rep) <= mbox
-                   and rename_abox(core, rep) <= abox for t, m, core in self.cores)
+        ren = {n: r for n, r in rep.items() if n != r}
+        for t, m, core, names in self.cores:
+            # most queries merge nothing, and most cores name no merged
+            # individual: only those are renamed
+            if not names.isdisjoint(ren):
+                core = rename_abox(core, ren)
+            if t <= tbox and core <= abox and (rename_mbox(m, ren) if ren else m) <= mbox:
+                return True
+        return False
 
     def keep_core(self, verdict):
         """Keep the core of an inconsistent verdict's root, with the root's
         Tbox and Mbox."""
         g = verdict.graph
-        root = g.labels[g.root]
-        self.cores.append((frozenset(root.tbox), frozenset(root.mbox), g.cores[g.root]))
+        root, core = g.labels[g.root], g.cores[g.root]
+        self.cores.append((frozenset(root.tbox), frozenset(root.mbox), core,
+                           frozenset(abox_individuals(core))))
 
 
 def _negation_holds(m: Interpretation, axiom) -> bool:
