@@ -20,7 +20,9 @@ disjunct ``not A`` is read as an axiom ``A subclassof D`` and applied by the
 concepts go on every element: on each named individual at the root, on
 each fresh individual of `neq`, and on each role successor.  Labels still
 carry the whole Tbox, so caching, cores and the oracle's reading of a
-label as a KB see the internalised Tbox as before.
+label as a KB see the internalised Tbox as before.  `eq` adds its
+``A or not B`` and ``B or not A`` to the Tbox alone, where they are
+absorbed both ways, and keeps its premise's Abox.
 """
 
 from __future__ import annotations
@@ -325,10 +327,7 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
         if keep.individual == drop.individual:
             An, Bn = keep.concept_name, drop.concept_name
             tb_add = {disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An)))}
-            witness = conj(disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An))))
-            everyone = abox_individuals(A).union(concept_of)
-            adds = {ConceptAssertion(witness, d) for d in everyone}
-            concl = make_base(set(T) | tb_add, set(A) | adds, set(M) - {drop})
+            concl = make_base(set(T) | tb_add, A, set(M) - {drop})
             return RuleApplication("eq", "or", (keep.individual, An, Bn), j, (concl,))
     for a in neqs:
         if a.left in concept_of and a.right in concept_of:
@@ -622,10 +621,10 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
     or for the merged branch of `close` the assertions the merge renames
     into its core.  The absurdity child of `bot1` and `bot2` adds nothing;
     what `unfold` adds follows from its principal ``A(x)`` and the Tbox.
-    For `eq` it is the part of the child's core that lies in v's Abox: the
-    child's Mbox is part of v's, and the Tbox axioms and witness assertions
-    it adds follow from v's two Mbox axioms on one individual, which make
-    the two concepts equal in every model.
+    For `eq` it is the child's core: the child's Abox is v's, its Mbox is
+    part of v's, and the Tbox axioms it adds follow from v's two Mbox
+    axioms on one individual, which make the two concepts equal in every
+    model.
     """
     ra, j = g.rules[v], g.labels[v]
     if ra.rule == "bot3":
@@ -637,7 +636,7 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
                  for x, y in zip(cycle, cycle[1:] + cycle[:1]) for n in meta[y]}
         return frozenset(edges.intersection(j.abox))
     if ra.rule == "eq":
-        return g.cores[g.edges[v][0]].intersection(j.abox)
+        return g.cores[g.edges[v][0]]
     core = {p for p in ra.principal if not isinstance(p, str)}
     for c, add in zip(g.edges[v], ra.added):
         if add is None:

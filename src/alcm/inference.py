@@ -13,10 +13,11 @@ kept only if `semantics.satisfies_kb` confirms it satisfies K.
 
 An inconsistent verdict leaves the core of its root: a part of the root's
 Abox that is unsat with the root's Tbox and Mbox.  The session keeps it
-with that Tbox and Mbox.  Adding assertions or axioms never restores
-consistency, so a later query whose root (built by
-`engine.initialize_root`) holds a kept core in its Abox, and the core's
-Tbox and Mbox in its own, is answered "entailed" with no tableau call.
+with that Mbox: a query extends only K's Abox and Mbox, so every root of
+the session has K's Tbox.  Adding assertions or axioms never restores
+consistency, so a later query whose root (from `engine.initialize_root`)
+holds a kept core in its Abox, and the core's Mbox in its own, is
+answered "entailed" with no tableau call.
 The core and its Mbox are matched after renaming by the root's merge map,
 so a query that merges an individual named in a core still meets it.  The
 root is built only once the session holds a core and no model has refuted
@@ -67,8 +68,8 @@ class _Session:
         self.kb = kb
         self.verdicts = []  # consistent verdicts not yet turned into models
         self.models = []
-        # (Tbox, Mbox, core, the core's individuals) of each refuted root,
-        # as frozensets
+        # (Mbox, core, the core's individuals) of each refuted root, as
+        # frozensets; every root has the KB's Tbox
         self.cores = []
 
     def falsifies(self, axiom) -> bool:
@@ -86,8 +87,8 @@ class _Session:
         return False
 
     def refutes(self, extended) -> bool:
-        """Some kept core, with its Tbox and Mbox, lies in the root of the
-        extended KB, which is therefore inconsistent.
+        """Some kept core, with its Mbox, lies in the root of the extended
+        KB, which is therefore inconsistent.
 
         Each core and its Mbox are first renamed by the merge map the root
         was built with.  A renamed core stays unsat: a model of it is a model
@@ -96,24 +97,22 @@ class _Session:
         if not self.cores:
             return False
         root, rep = initialize_root(extended)
-        tbox, abox, mbox = set(root.tbox), set(root.abox), set(root.mbox)
+        abox, mbox = set(root.abox), set(root.mbox)
         ren = {n: r for n, r in rep.items() if n != r}
-        for t, m, core, names in self.cores:
+        for m, core, names in self.cores:
             # most queries merge nothing, and most cores name no merged
             # individual: only those are renamed
             if not names.isdisjoint(ren):
                 core = rename_abox(core, ren)
-            if t <= tbox and core <= abox and (rename_mbox(m, ren) if ren else m) <= mbox:
+            if core <= abox and (rename_mbox(m, ren) if ren else m) <= mbox:
                 return True
         return False
 
     def keep_core(self, verdict):
-        """Keep the core of an inconsistent verdict's root, with the root's
-        Tbox and Mbox."""
+        """Keep the core of an inconsistent verdict's root, with its Mbox."""
         g = verdict.graph
         root, core = g.labels[g.root], g.cores[g.root]
-        self.cores.append((frozenset(root.tbox), frozenset(root.mbox), core,
-                           frozenset(abox_individuals(core))))
+        self.cores.append((frozenset(root.mbox), core, frozenset(abox_individuals(core))))
 
 
 def _negation_holds(m: Interpretation, axiom) -> bool:

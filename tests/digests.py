@@ -26,8 +26,8 @@ from alcm.extraction import model_from_verdict
 from alcm.randomkb import corpus
 from alcm.semantics import interpretation_to_json
 
-TRACE_DIGEST = "67ce89d23b723af5334aaea2f09ef75c9e2db7d086c648a31f0a1341268ba6b5"
-MODEL_DIGEST = "17f02372fcfbe3b19c0eef7da8152f22749e33f7930c9d3c789f15c4a79ff1f7"
+TRACE_DIGEST = "621dcf5778cbf013fcc1d29a3e46a8642d366046a307b435bb0de8e665205d5b"
+MODEL_DIGEST = "5ca0656c9890314f15e5aa2b0cb11c8932a613a6d724b4a265b835ac2ed0f198"
 
 
 def trace_digest() -> str:

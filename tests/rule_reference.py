@@ -25,7 +25,6 @@ from alcm.syntax import (
     ConceptAssertion,
     RoleAssertion,
     atom,
-    conj,
     disj,
     neg,
     not_equal,
@@ -136,10 +135,7 @@ def reference_rule(j):
             keep, drop = axs[0], axs[1]
             An, Bn = keep.concept_name, drop.concept_name
             tb_add = {disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An)))}
-            witness = conj(disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An))))
-            everyone = individuals | set(mdom)
-            adds = {ConceptAssertion(witness, d) for d in everyone}
-            concl = make_base(set(T) | tb_add, set(A) | adds, set(M) - {drop})
+            concl = make_base(set(T) | tb_add, A, set(M) - {drop})
             return RuleApplication("eq", "or", (ind, An, Bn), j, (concl,))
     for a in neqs:
         if a.left in concept_of and a.right in concept_of:

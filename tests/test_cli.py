@@ -97,12 +97,13 @@ class TestCheck:
         p.write_text(EXAMPLE_GRAPH_TEXT)
         assert main(["check", str(p), "--stats"]) == 0
         out = capsys.readouterr().out
-        # one count per rule in the fixed order, summing to the 20 expanded
+        # one count per rule in the fixed order, summing to the 12 expanded
         # nodes of this graph (none of which is an end node); role
         # successors count under the same rules as named individuals
-        assert "nodes: 24 built, 20 expanded\n" in out
-        assert ("rules: bot1=2 bot2=0 bot3=1 and'=3 all=0 unfold=3 "
-                "eq=1 neq=1 or'=4 close=1 trans'=4\n") in out
+        assert "nodes: 15 built, 12 expanded\n" in out
+        assert "kinds: and=4 or=8 end=0 bot=1 open=2\n" in out
+        assert ("rules: bot1=1 bot2=0 bot3=0 and'=1 all=0 unfold=2 "
+                "eq=1 neq=1 or'=1 close=1 trans'=4\n") in out
 
     def test_stats_count_backjumps(self, tmp_path, capsys):
         p = tmp_path / "backjump.alcm"
