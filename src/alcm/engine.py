@@ -417,69 +417,119 @@ class AndOrGraph:
         return self.child_ids[nid]
 
 
-def initialize_root(kb: KnowledgeBase):
-    """Initial base judgement plus the equality-merge map it was built with.
+class Root:
+    """A root's parts before they are sorted into its label.
 
-    Equalities are merged away by union-find (least name wins); the Tbox, in
-    NNF, is the label's, and its general concepts (see `absorb`) are
-    instantiated on every individual in sight.  An inequality that
-    collapses to `a != a` is kept for the bottom rules to catch.  One pass
-    over the Abox puts concept assertions in NNF and collects the
-    individuals and the equalities; the renaming runs only if there is an
-    equality to merge.
+    ``tbox`` is the NNF Tbox, sorted by key, and ``general`` its general
+    concepts (see `absorb`); ``names`` holds every individual in sight, and
+    ``merged`` maps each one merged away by an equality to its
+    representative, the least name of its class.  ``abox`` and ``mbox`` are
+    sets, already renamed by ``merged``.  A root is never mutated:
+    `extend_root` shares its parts where they do not change."""
+
+    __slots__ = ("tbox", "general", "abox", "mbox", "names", "merged")
+
+    def __init__(self, tbox, general, abox, mbox, names, merged):
+        self.tbox = tbox
+        self.general = general
+        self.abox = abox
+        self.mbox = mbox
+        self.names = names
+        self.merged = merged
+
+
+def empty_root(tbox) -> Root:
+    """The root of a KB that has the given Tbox axioms and nothing else."""
+    t = tuple(sorted(nnf_tbox(tbox), key=assertion_key))
+    return Root(t, absorb(t)[0], frozenset(), frozenset(), frozenset(), {})
+
+
+def extend_root(root: Root, abox=(), mbox=()) -> Root:
+    """The root of root's KB plus the given assertions and Mbox axioms,
+    each given as a collection that can be read more than once.
+
+    Concept assertions go into NNF, and what is added is renamed by the
+    merge map.  Equalities are merged by union-find over the classes (least
+    name wins, so the result does not depend on their order); the root's
+    own parts are renamed only when two classes merge.  Each individual not
+    in sight before gets the general Tbox concepts, on its representative.
+    An inequality that collapses to `a != a` is kept for the bottom rules
+    to catch.  Unless classes merge, the work is proportional to what is
+    added, besides one union of the root's Abox with the additions.
     """
-    tbox_c = nnf_tbox(kb.tbox)
-    abox, equalities = set(), []
-    names = {m.individual for m in kb.mbox}
-    for a in kb.abox:
+    added, equalities = set(), []
+    new = {m.individual for m in mbox}
+    for a in abox:
         t = type(a)
         if t is ConceptAssertion:
             c = nnf(a.concept)
-            abox.add(a if c is a.concept else ConceptAssertion(c, a.individual))
-            names.add(a.individual)
+            added.add(a if c is a.concept else ConceptAssertion(c, a.individual))
+            new.add(a.individual)
         elif t is RoleAssertion:
-            abox.add(a)
-            names.add(a.subject)
-            names.add(a.object)
+            added.add(a)
+            new.add(a.subject)
+            new.add(a.object)
         else:
             if t is Equal:
                 equalities.append(a)
             else:
-                abox.add(a)
-            names.add(a.left)
-            names.add(a.right)
-    names = sorted(names)
-    mbox = kb.mbox
+                added.add(a)
+            new.add(a.left)
+            new.add(a.right)
+    new -= root.names
+    names = root.names.union(new) if new else root.names
+    merged, abox_k, mbox_k = root.merged, root.abox, root.mbox
 
     if equalities:
-        parent = {n: n for n in names}
+        get, parent = merged.get, {}  # a representative merged away here -> the one it joined
 
         def find(n):
-            while parent[n] != n:
-                parent[n] = parent[parent[n]]
-                n = parent[n]
+            n = get(n, n)
+            while n in parent:  # halve the path on the way up
+                up = parent.get(parent[n], parent[n])
+                parent[n] = up
+                n = up
             return n
 
-        for a in sorted(equalities, key=assertion_key):
+        for a in equalities:
             ra, rb = find(a.left), find(a.right)
             if ra != rb:
                 keep, drop = (ra, rb) if ra < rb else (rb, ra)
                 parent[drop] = keep
-        rep = {n: find(n) for n in names}
-        abox = rename_abox(abox, rep)
-        mbox = rename_mbox(mbox, rep)
-        dom = set(rep.values())
-    else:
-        rep = {n: n for n in names}
-        dom = names
+        if parent:  # classes merged: the root's own parts are renamed too
+            merged = {}
+            for n in names:
+                r = find(n)
+                if r != n:
+                    merged[n] = r
+            added.update(abox_k)
+            mbox = mbox_k.union(mbox)
+            abox_k = mbox_k = frozenset()
 
-    # Every original individual's representative gets the general Tbox
-    # concepts, including individuals that occurred only in (now merged-away)
-    # equalities; the Mbox individuals are among them.
-    tbox = tuple(sorted(tbox_c, key=assertion_key))
-    abox.update([ConceptAssertion(c, a) for c in absorb(tbox)[0] for a in dom])
-    return BaseJudgement(tbox, tuple(sorted(abox, key=assertion_key)),
-                         tuple(sorted(mbox))), rep
+    if merged:
+        added = rename_abox(added, merged)
+        mbox = rename_mbox(mbox, merged)
+        new = {merged.get(n, n) for n in new}
+    added.update([ConceptAssertion(c, a) for c in root.general for a in new])
+    added.update(abox_k)
+    return Root(root.tbox, root.general, added,
+                mbox_k.union(mbox) if mbox_k else frozenset(mbox), names, merged)
+
+
+def initialize_root(kb: KnowledgeBase):
+    """Initial base judgement plus the equality-merge map it was built with,
+    which maps every individual, in name order, to its representative.
+
+    The root of the KB extends the empty root by the KB's Abox and Mbox (see
+    `extend_root`); its Tbox, in NNF, is the label's.  Its general concepts
+    (see `absorb`) are thus instantiated on every individual in sight,
+    including individuals that occur only in merged-away equalities.
+    """
+    root = extend_root(empty_root(kb.tbox), kb.abox, kb.mbox)
+    rep = {n: n for n in sorted(root.names)}
+    rep.update(root.merged)
+    return (BaseJudgement(root.tbox, tuple(sorted(root.abox, key=assertion_key)),
+                          tuple(sorted(root.mbox))), rep)
 
 
 def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> AndOrGraph:

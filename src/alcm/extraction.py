@@ -205,12 +205,12 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
 # Interpretations
 # --------------------------------------------------------------------------
 
-def _atoms_in_labels(rg: RGraph) -> set:
-    """Names of the atoms inside the label concepts; labels share most of
-    their subconcepts, so each distinct one is visited once."""
+def _atom_names(concepts) -> set:
+    """Names of the atoms inside the concepts; concepts share most of their
+    subconcepts, so each distinct one is visited once."""
     names = set()
     seen = set()
-    stack = [c for ls in rg.labels.values() for c in ls]
+    stack = list(concepts)
     while stack:
         d = stack.pop()
         if d in seen:
@@ -277,7 +277,8 @@ def unfold_sets(rg: RGraph, mbox) -> Interpretation:
     holders = _holders(rg)
     memo: Dict[str, object] = {}
     elems = {x: _unfold(x, memo, concept_of, holders) for x in rg.delta}
-    names = sorted(_atoms_in_labels(rg) | set(concept_of.values()))
+    names = sorted(_atom_names(c for ls in rg.labels.values() for c in ls)
+                   | set(concept_of.values()))
     concepts = {name: frozenset(elems[x] for x in holders.get(name, ())) for name in names}
     roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)
              for r, ps in rg.edges.items()}
@@ -298,10 +299,17 @@ def model_from_verdict(kb, verdict) -> Interpretation:
     mapped to their representative's element, so every original name stays
     resolvable.  A representative that no surviving assertion mentions (an
     individual known only through equalities) is unconstrained and becomes a
-    fresh atom of its own.
+    fresh atom of its own.  Every concept name of the KB is listed, with an
+    empty extension where no label holds it, whatever path the rules took.
     """
     rg, terminal, merges = build_rgraph(verdict.graph, verdict.marking)
     interp = unfold_sets(rg, terminal.mbox)
+    concepts = [ax.lhs for ax in kb.tbox] + [ax.rhs for ax in kb.tbox]
+    concepts += [a.concept for a in kb.abox if type(a) is ConceptAssertion]
+    names = _atom_names(concepts) | kb.mbox_range()
+    if not names <= interp.concepts.keys():
+        names.update(interp.concepts)
+        interp.concepts = {n: interp.concepts.get(n, frozenset()) for n in sorted(names)}
     rep = dict(verdict.graph.initial_merges)
     for keep, drop in merges:
         rep = {orig: (keep if r == drop else r) for orig, r in rep.items()}

@@ -15,21 +15,28 @@ An inconsistent verdict leaves the core of its root: a part of the root's
 Abox that is unsat with the root's Tbox and Mbox.  The session keeps it
 with that Mbox: a query extends only K's Abox and Mbox, so every root of
 the session has K's Tbox.  Adding assertions or axioms never restores
-consistency, so a later query whose root (from `engine.initialize_root`)
-holds a kept core in its Abox, and the core's Mbox in its own, is
-answered "entailed" with no tableau call.
-The core and its Mbox are matched after renaming by the root's merge map,
-so a query that merges an individual named in a core still meets it.  The
-root is built only once the session holds a core and no model has refuted
-the query.  A query that would run out of the node budget may thus be
-answered from a model or from a core.
+consistency, so a later query whose root holds a kept core in its Abox,
+and the core's Mbox in its own, is answered "entailed" with no tableau
+call.  The core and its Mbox are matched after renaming by the root's
+merge map, so a query that merges an individual named in a core still
+meets it.
+
+A query's root comes from `engine.extend_root`, the helper
+`engine.initialize_root` builds every root with.  The session builds K's
+root once, the first time a query reaches the cores; a query's root is
+then K's root plus the query's own assertions, and K's parts are renamed
+only when the query's equality merges two classes.  The root is built for
+this only once the session holds a core and no model has refuted the
+query, and K plus the query is built as a KB only for a tableau call.  A
+query that would run out of the node budget may thus be answered from a
+model or from a core.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .engine import DEFAULT_NODE_BUDGET, check_consistency, initialize_root
+from .engine import DEFAULT_NODE_BUDGET, check_consistency, empty_root, extend_root
 from .errors import UnknownNameError
 from .extraction import model_from_verdict
 from .semantics import Interpretation, el_set, holds, satisfies_kb
@@ -45,7 +52,6 @@ from .syntax import (
     conj,
     equal,
     neg,
-    nnf,
     not_equal,
     rename_abox,
     rename_mbox,
@@ -66,6 +72,10 @@ class _Session:
 
     def __init__(self, kb):
         self.kb = kb
+        # the individuals a query may name
+        self.individuals = frozenset() if kb is None else (
+            abox_individuals(kb.abox) | kb.mbox_dom())
+        self.root = None  # the KB's root, built when a query first needs it
         self.verdicts = []  # consistent verdicts not yet turned into models
         self.models = []
         # (Mbox, core, the core's individuals) of each refuted root, as
@@ -86,9 +96,17 @@ class _Session:
                 return True
         return False
 
-    def refutes(self, extended) -> bool:
-        """Some kept core, with its Mbox, lies in the root of the extended
-        KB, which is therefore inconsistent.
+    def root_of(self, abox, mbox):
+        """The root of the KB plus the query's assertions and Mbox axioms, as
+        `engine.extend_root` gives it: the KB's root, built once, plus the
+        query's own parts."""
+        if self.root is None:
+            self.root = extend_root(empty_root(self.kb.tbox), self.kb.abox, self.kb.mbox)
+        return extend_root(self.root, abox, mbox)
+
+    def refutes(self, abox, mbox) -> bool:
+        """Some kept core, with its Mbox, lies in the root of the KB plus the
+        query's assertions and Mbox axioms, which is therefore inconsistent.
 
         Each core and its Mbox are first renamed by the merge map the root
         was built with.  A renamed core stays unsat: a model of it is a model
@@ -96,15 +114,14 @@ class _Session:
         representative's element."""
         if not self.cores:
             return False
-        root, rep = initialize_root(extended)
-        abox, mbox = set(root.abox), set(root.mbox)
-        ren = {n: r for n, r in rep.items() if n != r}
+        root = self.root_of(abox, mbox)
+        ren = root.merged
         for m, core, names in self.cores:
-            # most queries merge nothing, and most cores name no merged
+            # most roots merge nothing, and most cores name no merged
             # individual: only those are renamed
             if not names.isdisjoint(ren):
                 core = rename_abox(core, ren)
-            if core <= abox and (rename_mbox(m, ren) if ren else m) <= mbox:
+            if core <= root.abox and (rename_mbox(m, ren) if ren else m) <= root.mbox:
                 return True
         return False
 
@@ -133,6 +150,35 @@ _session = _Session(None)
 _session_lock = threading.Lock()  # guards _session and the lists it holds
 
 
+def _named(axiom) -> tuple:
+    """The individuals the axiom names; a TypeError for a record no service
+    decides."""
+    t = type(axiom)
+    if t is Subsumption:
+        return ()
+    if t is ConceptAssertion or t is MboxAxiom:
+        return (axiom.individual,)
+    if t is Equal or t is NotEqual:
+        return (axiom.left, axiom.right)
+    raise TypeError(f"no entailment service for {t.__name__}")
+
+
+def _negation(axiom):
+    """The assertions and Mbox axioms that K adds to decide the axiom: its
+    negation.  The root puts the concepts into NNF."""
+    t = type(axiom)
+    if t is Subsumption:
+        return [ConceptAssertion(conj(axiom.lhs, neg(axiom.rhs)), QUERY_FRESH)], ()
+    if t is ConceptAssertion:
+        return [ConceptAssertion(neg(axiom.concept), axiom.individual)], ()
+    if t is Equal:
+        return [not_equal(axiom.left, axiom.right)], ()
+    if t is NotEqual:
+        return [equal(axiom.left, axiom.right)], ()
+    return ([not_equal(axiom.individual, QUERY_FRESH)],
+            [MboxAxiom(QUERY_FRESH, axiom.concept_name)])
+
+
 def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """K entails the axiom iff K plus the axiom's negation is inconsistent.
 
@@ -144,40 +190,20 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
     the cores they left (see the module docstring), so "not entailed" may
     come from a model and "entailed" from a core.
     """
-    mbox = ()
-    if type(axiom) is Subsumption:
-        names = ()
-        abox = [ConceptAssertion(nnf(conj(axiom.lhs, neg(axiom.rhs))), QUERY_FRESH)]
-    elif type(axiom) is ConceptAssertion:
-        names = (axiom.individual,)
-        abox = [ConceptAssertion(nnf(neg(axiom.concept)), axiom.individual)]
-    elif type(axiom) is Equal:
-        names = (axiom.left, axiom.right)
-        abox = [not_equal(axiom.left, axiom.right)]
-    elif type(axiom) is NotEqual:
-        names = (axiom.left, axiom.right)
-        abox = [equal(axiom.left, axiom.right)]
-    elif type(axiom) is MboxAxiom:
-        names = (axiom.individual,)
-        abox = [not_equal(axiom.individual, QUERY_FRESH)]
-        mbox = [MboxAxiom(QUERY_FRESH, axiom.concept_name)]
-    else:
-        raise TypeError(f"no entailment service for {type(axiom).__name__}")
-    known = kb.individuals()
-    for name in names:
-        if name not in known:
-            raise UnknownNameError(f"individual {name!r} does not occur in the KB")
-    extended = kb.extended(abox=abox, mbox=mbox)
+    names = _named(axiom)
     global _session
     with _session_lock:
-        if _session.kb != kb:
-            _session = _Session(kb)
-        session = _session
+        session = _session if _session.kb == kb else _Session(kb)
+        for name in names:
+            if name not in session.individuals:
+                raise UnknownNameError(f"individual {name!r} does not occur in the KB")
+        _session = session
         if session.falsifies(axiom):
             return False
-        if session.refutes(extended):
+        abox, mbox = _negation(axiom)
+        if session.refutes(abox, mbox):
             return True
-    verdict = check_consistency(extended, node_budget)
+    verdict = check_consistency(kb.extended(abox=abox, mbox=mbox), node_budget)
     with _session_lock:
         if verdict.consistent:
             session.verdicts.append(verdict)

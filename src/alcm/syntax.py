@@ -145,22 +145,27 @@ def nnf(c: Concept) -> Concept:
         return exists(c.role, nnf(c.child))
     if t == FORALL:
         return forall(c.role, nnf(c.child))
-    d = c.child  # t == NOT
-    if d.tag == ATOM:
-        return c
-    if d.tag == TOP:
+    return c if c.child.tag == ATOM else _nnf_not(c.child)  # t == NOT
+
+
+def _nnf_not(d: Concept) -> Concept:
+    """``nnf(neg(d))``, without interning the negations it pushes inward."""
+    t = d.tag
+    if t == ATOM:
+        return neg(d)
+    if t == TOP:
         return bot()
-    if d.tag == BOT:
+    if t == BOT:
         return top()
-    if d.tag == NOT:
+    if t == NOT:
         return nnf(d.child)
-    if d.tag == AND:
-        return _disj_simplified(nnf(neg(d.left)), nnf(neg(d.right)))
-    if d.tag == OR:
-        return _conj_simplified(nnf(neg(d.left)), nnf(neg(d.right)))
-    if d.tag == EXISTS:
-        return forall(d.role, nnf(neg(d.child)))
-    return exists(d.role, nnf(neg(d.child)))  # d.tag == FORALL
+    if t == AND:
+        return _disj_simplified(_nnf_not(d.left), _nnf_not(d.right))
+    if t == OR:
+        return _conj_simplified(_nnf_not(d.left), _nnf_not(d.right))
+    if t == EXISTS:
+        return forall(d.role, _nnf_not(d.child))
+    return exists(d.role, _nnf_not(d.child))  # t == FORALL
 
 
 def subconcepts(c: Concept) -> frozenset:
@@ -377,10 +382,10 @@ def nnf_tbox(tbox: Iterable[Subsumption | Equivalence]) -> frozenset:
     An equivalence contributes both subsumption directions.
     """
     out = set()
-    for ax in tbox:
-        out.add(nnf(disj(neg(ax.lhs), ax.rhs)))
+    for ax in tbox:  # nnf(not C or D), without interning not C or D
+        out.add(_disj_simplified(_nnf_not(ax.lhs), nnf(ax.rhs)))
         if isinstance(ax, Equivalence):
-            out.add(nnf(disj(neg(ax.rhs), ax.lhs)))
+            out.add(_disj_simplified(_nnf_not(ax.rhs), nnf(ax.lhs)))
     return frozenset(out)
 
 

@@ -27,7 +27,7 @@ from alcm.randomkb import corpus
 from alcm.semantics import interpretation_to_json
 
 TRACE_DIGEST = "621dcf5778cbf013fcc1d29a3e46a8642d366046a307b435bb0de8e665205d5b"
-MODEL_DIGEST = "5ca0656c9890314f15e5aa2b0cb11c8932a613a6d724b4a265b835ac2ed0f198"
+MODEL_DIGEST = "fef2850464aa0e71ead0f0bdc57f5801498a1477a475f6b58decdc364086a873"
 
 
 def trace_digest() -> str:

@@ -18,10 +18,12 @@ from alcm.extraction import (
     unfold_sets,
 )
 from alcm.parser import parse_kb
+from alcm.randomkb import corpus
 from alcm.semantics import (
     el_atom,
     el_set,
     extension,
+    interpretation_to_json,
     satisfies_kb,
 )
 from alcm.syntax import (
@@ -337,6 +339,14 @@ class TestExtractModel:
 
 
 class TestModelsAreStable:
+    def test_every_concept_name_of_the_kb_is_listed(self):
+        # KB #7 of seed 20240 has a =m D and c =m B; close merges a into c
+        # and keeps c =m B, so no label and no Mbox on the path names D
+        kb = corpus(seed=20240, size=8)[7]
+        concepts = interpretation_to_json(extract_model(kb))["concepts"]
+        assert concepts["D"] == []
+        assert list(concepts) == ["A", "B", "C", "D"]
+
     def test_models_match_the_pinned_digest(self):
         # one digest over the models of the consistent KBs among the first
         # 300 corpus KBs; a change to which model is extracted must update

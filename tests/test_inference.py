@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from alcm import inference, oracle, syntax
-from alcm.engine import DEFAULT_NODE_BUDGET
+from alcm.engine import DEFAULT_NODE_BUDGET, empty_root, extend_root, initialize_root
 from alcm.errors import BudgetExceededError, UnknownNameError
 from alcm.extraction import extract_model
 from alcm.inference import (
@@ -186,6 +186,23 @@ class TestEntails:
             with pytest.raises(UnknownNameError):
                 entails(hydro_kb, axiom)
 
+    def test_an_unknown_name_leaves_the_session_as_it_was(self, hydro_kb, asked):
+        # the first query leaves a model, the second a core
+        lake = ConceptAssertion(atom("Lake"), "queguay")
+        assert asked(hydro_kb, lake) == (False, 1)
+        assert asked(hydro_kb, not_equal("deRocha", "queguay")) == (True, 1)
+        session = inference._session
+        models, cores = list(session.models), list(session.cores)
+        assert models and cores
+        # on the session's KB, and on another KB that would take the slot
+        for kb in (hydro_kb, parse_kb(SESSION_TEXT)):
+            with pytest.raises(UnknownNameError):
+                entails(kb, ConceptAssertion(top(), "nosuch"))
+            assert inference._session is session
+            assert session.models == models and session.cores == cores
+        assert asked(hydro_kb, lake) == (False, 0)
+        assert asked(hydro_kb, not_equal("deRocha", "santaLucia")) == (True, 0)
+
 
 class TestMetamodellingQueries:
     def test_asserted_axiom_is_entailed(self, hydro_kb):
@@ -316,6 +333,72 @@ def reduction(kb, axiom):
                        mbox=[MboxAxiom(FRESH, axiom.concept_name)])
 
 
+def corpus_query_mix():
+    """(KB, queries) for the first 200 KBs of seed 20240: up to 25 distinct
+    queries per KB, in a shuffled order; 4,567 queries in all."""
+    rng = random.Random(7)
+    for kb in corpus(seed=20240, size=200):
+        inds = kb.individuals()
+        names = sorted(kb.mbox_range() | {"A", "B"})
+        queries = {ConceptAssertion(c, a) for a in inds
+                   for n in names for c in (atom(n), neg(atom(n)))}
+        queries |= {MboxAxiom(a, n) for a in inds for n in names}
+        queries |= {Subsumption(atom(m), atom(n)) for m in names for n in names if m != n}
+        queries |= {f(a, b) for a in inds for b in inds if a < b
+                    for f in (equal, not_equal)}
+        yield kb, rng.sample(sorted(queries, key=repr), min(25, len(queries)))
+
+
+def assert_root_of(root, kb):
+    """The root's Abox, Mbox and merge map are those `initialize_root` builds
+    for kb."""
+    label, rep = initialize_root(kb)
+    assert root.abox == set(label.abox)
+    assert root.mbox == set(label.mbox)
+    assert root.merged == {n: r for n, r in rep.items() if n != r}
+    assert root.names == set(rep)
+
+
+class TestSessionRoots:
+    """A session builds K's root once and extends it by each query; every
+    such root is the one `initialize_root` builds for K plus the query."""
+
+    def test_every_query_of_the_mix(self):
+        total = merging = 0
+        for kb, queries in corpus_query_mix():
+            session = inference._Session(kb)
+            for axiom in queries:
+                abox, mbox = inference._negation(axiom)
+                root = session.root_of(abox, mbox)
+                assert_root_of(root, kb.extended(abox=abox, mbox=mbox))
+                total += 1
+                merging += root.merged is not session.root.merged
+        # queries whose equality merges two classes rename K's parts
+        assert total == 4567 and merging > 300
+
+    def test_chained_equalities(self):
+        # K merges c into b; the extension merges b's class into a's and d's
+        # into it, through equalities in either order
+        kb = parse_kb("""
+            tbox { top subclassof C or D; }
+            abox { b = c; C(c); R(c, d); E(e); c != d; }
+            mbox { c =m C; e =m E; }
+        """)
+        root = extend_root(empty_root(kb.tbox), kb.abox, kb.mbox)
+        assert root.merged == {"c": "b"}
+        for more in ([equal("a", "b"), equal("d", "c")], [equal("c", "d"), equal("b", "a")],
+                     [equal("a", "b"), equal("b", "c")]):
+            extended = extend_root(root, more)
+            assert_root_of(extended, kb.extended(abox=more))
+            # c != d collapses to a != a exactly when d joins the class
+            assert (NotEqual("a", "a") in extended.abox) == ("d" in extended.merged)
+        assert extend_root(root, [equal("d", "c"), equal("a", "b")]).merged == {
+            "b": "a", "c": "a", "d": "a"}
+        # equalities added at once chain through a name K does not know
+        more = [equal("b", "x"), equal("x", "e")]
+        assert_root_of(extend_root(root, more), kb.extended(abox=more))
+
+
 class TestSessionAgreement:
     """Answers through one session equal those of a fresh session per query,
     and of the oracle; every model a session keeps satisfies its KB."""
@@ -384,20 +467,10 @@ class TestSessionAgreement:
         assert asked > 300 and answered_from_models > asked // 10 and unrefereed < 10
 
     def test_a_session_per_kb_answers_as_a_fresh_one_per_query(self, asked, monkeypatch):
-        # Distinct queries over 200 corpus KBs, each KB's in a shuffled
-        # order through one session, against a fresh session per query.
-        rng = random.Random(7)
+        # The corpus query mix, each KB's queries in a shuffled order through
+        # one session, against a fresh session per query.
         total = from_cores = 0
-        for kb in corpus(seed=20240, size=200):
-            inds = kb.individuals()
-            names = sorted(kb.mbox_range() | {"A", "B"})
-            queries = {ConceptAssertion(c, a) for a in inds
-                       for n in names for c in (atom(n), neg(atom(n)))}
-            queries |= {MboxAxiom(a, n) for a in inds for n in names}
-            queries |= {Subsumption(atom(m), atom(n)) for m in names for n in names if m != n}
-            queries |= {f(a, b) for a in inds for b in inds if a < b
-                        for f in (equal, not_equal)}
-            queries = rng.sample(sorted(queries, key=repr), min(25, len(queries)))
+        for kb, queries in corpus_query_mix():
             expected = []
             for axiom in queries:
                 self.fresh_session(monkeypatch)
