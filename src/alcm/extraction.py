@@ -205,27 +205,6 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
 # Interpretations
 # --------------------------------------------------------------------------
 
-def _atom_names(concepts) -> set:
-    """Names of the atoms inside the concepts; concepts share most of their
-    subconcepts, so each distinct one is visited once."""
-    names = set()
-    seen = set()
-    stack = list(concepts)
-    while stack:
-        d = stack.pop()
-        if d in seen:
-            continue
-        seen.add(d)
-        if d.tag == syntax.ATOM:
-            names.add(d.name)
-        elif d.tag in (syntax.AND, syntax.OR):
-            stack.append(d.left)
-            stack.append(d.right)
-        elif d.tag in (syntax.NOT, syntax.EXISTS, syntax.FORALL):
-            stack.append(d.child)
-    return names
-
-
 def _holders(rg: RGraph) -> Dict[str, List[str]]:
     """Each concept name's holders: the elements labelled with its atom, in order."""
     holders: Dict[str, List[str]] = {}
@@ -258,11 +237,13 @@ def _unfold(x: str, memo: dict, concept_of: dict, holders: dict):
     return e
 
 
-def unfold_sets(rg: RGraph, mbox) -> Interpretation:
+def unfold_sets(rg: RGraph, mbox, names) -> Interpretation:
     """Replace each meta-modelled individual by the set its concept denotes.
 
-    Requires the meta-modelling recursion to be well-founded; a circular
-    R-graph is rejected up front rather than looped on.
+    The interpretation lists the given concept names and those of the Mbox,
+    each with its holders' elements, so a name no label holds has an empty
+    extension.  Requires the meta-modelling recursion to be well-founded; a
+    circular R-graph is rejected up front rather than looped on.
     """
     concept_of: Dict[str, str] = {}
     for m in sorted(mbox):
@@ -277,9 +258,8 @@ def unfold_sets(rg: RGraph, mbox) -> Interpretation:
     holders = _holders(rg)
     memo: Dict[str, object] = {}
     elems = {x: _unfold(x, memo, concept_of, holders) for x in rg.delta}
-    names = sorted(_atom_names(c for ls in rg.labels.values() for c in ls)
-                   | set(concept_of.values()))
-    concepts = {name: frozenset(elems[x] for x in holders.get(name, ())) for name in names}
+    concepts = {name: frozenset(elems[x] for x in holders.get(name, ()))
+                for name in sorted(set(names).union(concept_of.values()))}
     roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)
              for r, ps in rg.edges.items()}
     return Interpretation(domain=frozenset(elems.values()),
@@ -300,16 +280,11 @@ def model_from_verdict(kb, verdict) -> Interpretation:
     resolvable.  A representative that no surviving assertion mentions (an
     individual known only through equalities) is unconstrained and becomes a
     fresh atom of its own.  Every concept name of the KB is listed, with an
-    empty extension where no label holds it, whatever path the rules took.
+    empty extension where no label holds it, whatever path the rules took;
+    the rules introduce no other name.
     """
     rg, terminal, merges = build_rgraph(verdict.graph, verdict.marking)
-    interp = unfold_sets(rg, terminal.mbox)
-    concepts = [ax.lhs for ax in kb.tbox] + [ax.rhs for ax in kb.tbox]
-    concepts += [a.concept for a in kb.abox if type(a) is ConceptAssertion]
-    names = _atom_names(concepts) | kb.mbox_range()
-    if not names <= interp.concepts.keys():
-        names.update(interp.concepts)
-        interp.concepts = {n: interp.concepts.get(n, frozenset()) for n in sorted(names)}
+    interp = unfold_sets(rg, terminal.mbox, kb.concept_names())
     rep = dict(verdict.graph.initial_merges)
     for keep, drop in merges:
         rep = {orig: (keep if r == drop else r) for orig, r in rep.items()}

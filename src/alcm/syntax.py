@@ -145,27 +145,22 @@ def nnf(c: Concept) -> Concept:
         return exists(c.role, nnf(c.child))
     if t == FORALL:
         return forall(c.role, nnf(c.child))
-    return c if c.child.tag == ATOM else _nnf_not(c.child)  # t == NOT
-
-
-def _nnf_not(d: Concept) -> Concept:
-    """``nnf(neg(d))``, without interning the negations it pushes inward."""
-    t = d.tag
-    if t == ATOM:
-        return neg(d)
-    if t == TOP:
+    d = c.child  # t == NOT
+    if d.tag == ATOM:
+        return c
+    if d.tag == TOP:
         return bot()
-    if t == BOT:
+    if d.tag == BOT:
         return top()
-    if t == NOT:
+    if d.tag == NOT:
         return nnf(d.child)
-    if t == AND:
-        return _disj_simplified(_nnf_not(d.left), _nnf_not(d.right))
-    if t == OR:
-        return _conj_simplified(_nnf_not(d.left), _nnf_not(d.right))
-    if t == EXISTS:
-        return forall(d.role, _nnf_not(d.child))
-    return exists(d.role, _nnf_not(d.child))  # t == FORALL
+    if d.tag == AND:
+        return _disj_simplified(nnf(neg(d.left)), nnf(neg(d.right)))
+    if d.tag == OR:
+        return _conj_simplified(nnf(neg(d.left)), nnf(neg(d.right)))
+    if d.tag == EXISTS:
+        return forall(d.role, nnf(neg(d.child)))
+    return exists(d.role, nnf(neg(d.child)))  # d.tag == FORALL
 
 
 def subconcepts(c: Concept) -> frozenset:
@@ -375,6 +370,28 @@ class KnowledgeBase:
     def mbox_range(self) -> set:
         return {m.concept_name for m in self.mbox}
 
+    def concept_names(self) -> set:
+        """Every concept name the Tbox, the Abox or the Mbox mentions; the
+        concepts share subconcepts, so each distinct one is visited once."""
+        names = self.mbox_range()
+        stack = [c for ax in self.tbox for c in (ax.lhs, ax.rhs)]
+        stack += [a.concept for a in self.abox if type(a) is ConceptAssertion]
+        seen = set()
+        while stack:
+            d = stack.pop()
+            if d in seen:
+                continue
+            seen.add(d)
+            t = d.tag
+            if t == ATOM:
+                names.add(d.name)
+            elif t == AND or t == OR:
+                stack.append(d.left)
+                stack.append(d.right)
+            elif t > ATOM:  # NOT, EXISTS, FORALL
+                stack.append(d.child)
+        return names
+
 
 def nnf_tbox(tbox: Iterable[Subsumption | Equivalence]) -> frozenset:
     """Compile Tbox axioms to NNF concepts, each read as 'holds everywhere'.
@@ -382,10 +399,10 @@ def nnf_tbox(tbox: Iterable[Subsumption | Equivalence]) -> frozenset:
     An equivalence contributes both subsumption directions.
     """
     out = set()
-    for ax in tbox:  # nnf(not C or D), without interning not C or D
-        out.add(_disj_simplified(_nnf_not(ax.lhs), nnf(ax.rhs)))
+    for ax in tbox:
+        out.add(nnf(disj(neg(ax.lhs), ax.rhs)))
         if isinstance(ax, Equivalence):
-            out.add(_disj_simplified(_nnf_not(ax.rhs), nnf(ax.lhs)))
+            out.add(nnf(disj(neg(ax.rhs), ax.lhs)))
     return frozenset(out)
 
 

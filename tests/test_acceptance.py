@@ -76,7 +76,7 @@ def consistent_extractions(corpus_runs):
         if v is None or not v.consistent:
             continue
         rg, terminal, merges = build_rgraph(v.graph, v.marking)
-        interp = unfold_sets(rg, terminal.mbox)
+        interp = unfold_sets(rg, terminal.mbox, kb.concept_names())
         out.append((kb, v, rg, terminal, merges, interp))
     return out
 

@@ -178,19 +178,19 @@ class TestInducedInterpretation:
         )
 
     def test_concept_extensions_from_labels(self):
-        interp = unfold_sets(self.idealized_canonical_rgraph(), ())
+        interp = unfold_sets(self.idealized_canonical_rgraph(), (), {"A", "B"})
         assert interp.concepts["A"] == {el_atom("c"), el_atom("d")}
         assert interp.concepts["B"] == {el_atom("a")}
 
     def test_empty_labels_empty_extensions(self):
         rg = RGraph(delta=("x",), labels={"x": frozenset()}, edges={})
-        interp = unfold_sets(rg, ())
-        assert all(not ext for ext in interp.concepts.values())
+        interp = unfold_sets(rg, (), {"A"})
+        assert interp.concepts == {"A": frozenset()}
 
     def test_labelled_concepts_hold_at_their_elements(self, hydro_kb):
         v = check_consistency(hydro_kb)
         rg, _, _ = build_rgraph(v.graph, v.marking)
-        interp = unfold_sets(rg, ())
+        interp = unfold_sets(rg, (), hydro_kb.concept_names())
         for x in rg.delta:
             for c in rg.labels[x]:
                 assert el_atom(x) in extension(interp, c)
@@ -222,7 +222,7 @@ class TestInducedInterpretation:
             if not v.consistent:
                 continue
             rg, terminal, _ = build_rgraph(v.graph, v.marking)
-            interp = unfold_sets(rg, ())
+            interp = unfold_sets(rg, (), kb.concept_names())
             concept_of = {m.individual: m.concept_name for m in sorted(terminal.mbox)}
             names = sorted(concept_of)
             for i, a in enumerate(names):
@@ -257,7 +257,7 @@ HYDRO_EXT_MBOX = {MboxAxiom("river", "River"), MboxAxiom("lake", "Lake"),
 
 class TestUnfoldSets:
     def test_hydrography_unfolding(self):
-        interp = unfold_sets(hydrography_extended_rgraph(), HYDRO_EXT_MBOX)
+        interp = unfold_sets(hydrography_extended_rgraph(), HYDRO_EXT_MBOX, ())
         q, sl = el_atom("queguay"), el_atom("santaLucia")
         dr, ds = el_atom("deRocha"), el_atom("delSauce")
         assert interp.individuals["river"] is el_set([q, sl])
@@ -273,7 +273,7 @@ class TestUnfoldSets:
             edges={},
         )
         mbox = {MboxAxiom("a", "A"), MboxAxiom("b", "B")}
-        interp = unfold_sets(rg, mbox)
+        interp = unfold_sets(rg, mbox, ())
         c, d = el_atom("c"), el_atom("d")
         cd = el_set([c, d])
         assert interp.individuals["a"] is cd
@@ -283,7 +283,7 @@ class TestUnfoldSets:
     def test_circular_graph_is_rejected_not_looped_on(self):
         rg = RGraph(delta=("a",), labels={"a": frozenset({A})}, edges={})
         with pytest.raises(ValueError, match="circular"):
-            unfold_sets(rg, {MboxAxiom("a", "A")})
+            unfold_sets(rg, {MboxAxiom("a", "A")}, ())
 
     def test_meta_order_is_acyclic_on_extracted_graphs(self, hydro_kb):
         v = check_consistency(hydro_kb)
@@ -333,7 +333,7 @@ class TestExtractModel:
     def test_unfolded_set_identity_is_injective(self, hydro_kb):
         v = check_consistency(hydro_kb)
         rg, terminal, _ = build_rgraph(v.graph, v.marking)
-        interp = unfold_sets(rg, terminal.mbox)
+        interp = unfold_sets(rg, terminal.mbox, hydro_kb.concept_names())
         images = [interp.individuals[x] for x in rg.delta]
         assert len(set(images)) == len(rg.delta)
 
