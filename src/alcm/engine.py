@@ -438,10 +438,13 @@ class Root:
         self.merged = merged
 
 
+_EMPTY = frozenset()
+
+
 def empty_root(tbox) -> Root:
     """The root of a KB that has the given Tbox axioms and nothing else."""
     t = tuple(sorted(nnf_tbox(tbox), key=assertion_key))
-    return Root(t, absorb(t)[0], frozenset(), frozenset(), frozenset(), {})
+    return Root(t, absorb(t)[0], _EMPTY, _EMPTY, _EMPTY, {})
 
 
 def extend_root(root: Root, abox=(), mbox=()) -> Root:
@@ -455,7 +458,7 @@ def extend_root(root: Root, abox=(), mbox=()) -> Root:
     in sight before gets the general Tbox concepts, on its representative.
     An inequality that collapses to `a != a` is kept for the bottom rules
     to catch.  Unless classes merge, the work is proportional to what is
-    added, besides one union of the root's Abox with the additions.
+    added, besides copying the root's sets into the new root.
     """
     added, equalities = set(), []
     new = {m.individual for m in mbox}
@@ -476,8 +479,11 @@ def extend_root(root: Root, abox=(), mbox=()) -> Root:
                 added.add(a)
             new.add(a.left)
             new.add(a.right)
-    new -= root.names
-    names = root.names.union(new) if new else root.names
+    if root.names:
+        new -= root.names
+        names = root.names.union(new) if new else root.names
+    else:  # every name is new, and the set is the root's
+        names = new
     merged, abox_k, mbox_k = root.merged, root.abox, root.mbox
 
     if equalities:

@@ -258,8 +258,8 @@ def unfold_sets(rg: RGraph, mbox, names) -> Interpretation:
     holders = _holders(rg)
     memo: Dict[str, object] = {}
     elems = {x: _unfold(x, memo, concept_of, holders) for x in rg.delta}
-    concepts = {name: frozenset(elems[x] for x in holders.get(name, ()))
-                for name in sorted(set(names).union(concept_of.values()))}
+    concepts = {name: frozenset(map(elems.__getitem__, holders.get(name, ())))
+                for name in sorted({*names, *concept_of.values()})}
     roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)
              for r, ps in rg.edges.items()}
     return Interpretation(domain=frozenset(elems.values()),
