@@ -273,7 +273,7 @@ def unfold_sets(rg: RGraph, mbox, names) -> Interpretation:
 # --------------------------------------------------------------------------
 
 def model_from_verdict(kb, verdict) -> Interpretation:
-    """Model of the original KB from a consistent engine verdict.
+    """Model of the original KB from its consistent engine verdict.
 
     Individuals merged away by initialization or on the saturation path are
     mapped to their representative's element, so every original name stays
@@ -281,7 +281,7 @@ def model_from_verdict(kb, verdict) -> Interpretation:
     individual known only through equalities) is unconstrained and becomes a
     fresh atom of its own.  Every concept name of the KB is listed, with an
     empty extension where no label holds it, whatever path the rules took;
-    the rules introduce no other name.
+    the rules introduce no name the KB lacks.
     """
     rg, terminal, merges = build_rgraph(verdict.graph, verdict.marking)
     interp = unfold_sets(rg, terminal.mbox, kb.concept_names())

@@ -76,7 +76,8 @@ class _Session:
         self.individuals = frozenset() if kb is None else (
             abox_individuals(kb.abox) | kb.mbox_dom())
         self.root = None  # the KB's root, built when a query first needs it
-        self.verdicts = []  # consistent verdicts not yet turned into models
+        # (K plus a query, its consistent verdict), not yet turned into models
+        self.verdicts = []
         self.models = []
         # (Mbox, core, the core's individuals) of each refuted root, as
         # frozensets; every root has the KB's Tbox
@@ -88,7 +89,9 @@ class _Session:
         if any(_negation_holds(m, axiom) for m in self.models):
             return True
         while self.verdicts:
-            m = model_from_verdict(self.kb, self.verdicts.pop(0))
+            # a model of K plus an earlier query: also one of K, and it
+            # lists the query's concept names
+            m = model_from_verdict(*self.verdicts.pop(0))
             if not satisfies_kb(m, self.kb):  # keep no model that extraction got wrong
                 continue
             self.models.append(m)
@@ -203,10 +206,11 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
         abox, mbox = _negation(axiom)
         if session.refutes(abox, mbox):
             return True
-    verdict = check_consistency(kb.extended(abox=abox, mbox=mbox), node_budget)
+    extended = kb.extended(abox=abox, mbox=mbox)
+    verdict = check_consistency(extended, node_budget)
     with _session_lock:
         if verdict.consistent:
-            session.verdicts.append(verdict)
+            session.verdicts.append((extended, verdict))
         else:
             session.keep_core(verdict)
     return not verdict.consistent
