@@ -39,10 +39,3 @@ def find_cycle(nodes, successors):
                 stack.pop()
     return None
 
-
-def is_acyclic(nodes, edges) -> bool:
-    """True iff the directed graph (nodes, edge pairs) has no cycle."""
-    succ = {}
-    for (a, b) in edges:
-        succ.setdefault(a, []).append(b)
-    return find_cycle(nodes, succ) is None

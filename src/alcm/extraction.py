@@ -215,15 +215,6 @@ def _holders(rg: RGraph) -> Dict[str, List[str]]:
     return holders
 
 
-def meta_order(rg: RGraph, mbox) -> set:
-    """Membership precedence: y below a whenever a's concept labels y."""
-    concept_of = {}
-    for m in sorted(mbox):
-        concept_of.setdefault(m.individual, m.concept_name)
-    holders = _holders(rg)
-    return {(y, a) for a, cn in concept_of.items() for y in holders.get(cn, ())}
-
-
 def _unfold(x: str, memo: dict, concept_of: dict, holders: dict):
     """x's element: an atom, or for a meta-modelled x the set of its concept's
     holders' elements, each made once and kept in ``memo``.  A module-level

@@ -11,8 +11,9 @@ tableau call is made.  A verdict becomes a model only when a query first
 needs it, so a one-off query pays nothing for the session, and a model is
 kept only if `semantics.satisfies_kb` confirms it satisfies K.  Beside each
 kept model the session keeps a table of the extensions its queries have
-read there, each computed once with `semantics.extension`, so a repeated
-query costs a lookup and a set test per model.
+read there, each computed once with `semantics.extension`, so a query that
+reads an extension an earlier one read costs a lookup and a set test per
+model.
 
 An inconsistent verdict leaves the core of its root: a part of the root's
 Abox that is unsat with the root's Tbox and Mbox.  The session keeps it
@@ -33,6 +34,12 @@ this only once the session holds a core and no model has refuted the
 query, and K plus the query is built as a KB only for a tableau call.  A
 query that would run out of the node budget may thus be answered from a
 model or from a core.
+
+K is fixed within a session, so a query's answer never changes there.  The
+session keeps every answer, whether a model, a core or a tableau call gave
+it, in a table keyed by the query axiom, and a repeated query is one lookup
+in it: it scans no model, builds no root and matches no core.  A query
+whose tableau call runs out of the node budget keeps no answer.
 """
 
 from __future__ import annotations
@@ -65,7 +72,8 @@ QUERY_FRESH = "q#0"  # reserved name, unreachable from the input grammar
 
 class _Session:
     """Models of one KB, from the consistent verdicts of its earlier queries,
-    and root cores, from the inconsistent ones.
+    root cores, from the inconsistent ones, and the answer of every query
+    answered on it.
 
     It holds one model per query that no model before it had refuted, and
     one core per query that no core before it had refuted.  A query that
@@ -90,6 +98,10 @@ class _Session:
         # (Mbox, its individuals, core, its individuals) of each refuted
         # root, as frozensets; every root has the KB's Tbox
         self.cores = []
+        # from each query axiom answered on this KB to its answer; assertions
+        # are interned and the other axioms are frozen records of interned
+        # concepts and strings, so a lookup builds nothing
+        self.answers = {}
 
     def falsifies(self, axiom) -> bool:
         """Some model of the KB kept here satisfies the axiom's negation,
@@ -230,7 +242,11 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
     A query on the KB of the previous one is first evaluated in the models
     that the earlier queries on it found, then its root is matched against
     the cores they left (see the module docstring), so "not entailed" may
-    come from a model and "entailed" from a core.
+    come from a model and "entailed" from a core.  A query asked before on
+    that KB is answered from the session's table of answers, so a query
+    that would run out of the node budget may also be answered from the
+    table; one whose call ran out of budget keeps no answer there, and is
+    decided again when asked again.
     """
     names = _named(axiom)
     global _session
@@ -241,19 +257,26 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
             if name not in session.individuals:
                 raise UnknownNameError(f"individual {name!r} does not occur in the KB")
         _session = session
+        answer = session.answers.get(axiom)
+        if answer is not None:
+            return answer
         if session.falsifies(axiom):
+            session.answers[axiom] = False
             return False
         abox, mbox = _negation(axiom)
         if session.refutes(abox, mbox):
+            session.answers[axiom] = True
             return True
     extended = kb.extended(abox=abox, mbox=mbox)
     verdict = check_consistency(extended, node_budget)
+    answer = not verdict.consistent
     with _session_lock:
-        if verdict.consistent:
-            session.verdicts.append((extended, verdict))
-        else:
+        if answer:
             session.keep_core(verdict)
-    return not verdict.consistent
+        else:
+            session.verdicts.append((extended, verdict))
+        session.answers[axiom] = answer
+    return answer
 
 
 def entails_instance(kb: KnowledgeBase, c: Concept, a: str,

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from alcm import oracle
-from alcm.digraph import find_cycle, is_acyclic
+from alcm.digraph import find_cycle
 from alcm.engine import (
     ABSURDITY,
     BaseJudgement,
@@ -19,7 +19,7 @@ from alcm.engine import (
     format_trace,
 )
 from alcm.errors import BudgetExceededError
-from alcm.extraction import build_rgraph, check_saturated, meta_order, unfold_sets
+from alcm.extraction import build_rgraph, check_saturated, unfold_sets
 from alcm.inference import (
     entails_equality,
     entails_metamodelling,
@@ -32,6 +32,7 @@ from alcm.semantics import satisfies_kb
 from alcm.syntax import ConceptAssertion, MboxAxiom, atom, neg
 
 from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_TEXT, judgement_to_kb
+from graph_checks import is_acyclic, meta_order
 
 ENGINE_BUDGET = 200_000
 ORACLE_BUDGET = 150_000

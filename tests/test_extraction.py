@@ -5,14 +5,12 @@ import time
 
 import pytest
 
-from alcm.digraph import is_acyclic
 from alcm.engine import BaseJudgement, check_consistency, difference_witness, make_base
 from alcm.extraction import (
     RGraph,
     build_rgraph,
     check_saturated,
     extract_model,
-    meta_order,
     model_from_verdict,
     saturation_path,
     unfold_sets,
@@ -38,6 +36,7 @@ from alcm.syntax import (
 )
 
 import digests
+from graph_checks import is_acyclic, meta_order
 
 A, B = atom("A"), atom("B")
 

@@ -119,7 +119,8 @@ class TestEntails:
         assert asked(kb, refuted[0][0]) == (False, 1)
         for axiom in entailed:
             assert asked(kb, axiom) == (True, 1)
-            # the root core the first ask left lies in the same root again
+            # the answer the first ask kept; the root core it left lies in
+            # the same root again (TestSessionAgreement checks that)
             assert asked(kb, axiom) == (True, 0)
 
     def test_a_root_holding_a_kept_core_is_entailed_with_no_call(self, hydro_kb, asked):
@@ -193,13 +194,15 @@ class TestEntails:
         assert asked(hydro_kb, not_equal("deRocha", "queguay")) == (True, 1)
         session = inference._session
         models, cores = list(session.models), list(session.cores)
-        assert models and cores
+        answers = dict(session.answers)
+        assert models and cores and len(answers) == 2
         # on the session's KB, and on another KB that would take the slot
         for kb in (hydro_kb, parse_kb(SESSION_TEXT)):
             with pytest.raises(UnknownNameError):
                 entails(kb, ConceptAssertion(top(), "nosuch"))
             assert inference._session is session
             assert session.models == models and session.cores == cores
+            assert session.answers == answers
         assert asked(hydro_kb, lake) == (False, 0)
         assert asked(hydro_kb, not_equal("deRocha", "santaLucia")) == (True, 0)
 
@@ -487,12 +490,50 @@ class TestSessionAgreement:
         # to K answers fewer queries (1,607 calls)
         assert made <= 1545
 
+    @staticmethod
+    def assert_answers_found_again(kb):
+        """Every answer the session kept for kb is given again by its models
+        or its cores: each "not entailed" by a kept model, each "entailed" by
+        a kept core.  Returns the number of each."""
+        session = inference._session
+        assert session.kb == kb
+        found = {False: 0, True: 0}
+        for axiom, answer in session.answers.items():
+            if answer:
+                assert session.refutes(*inference._negation(axiom)), (kb, axiom)
+            else:
+                assert session.falsifies(axiom), (kb, axiom)
+            found[answer] += 1
+        return found
+
+    def test_kept_answers_are_found_again(self, monkeypatch):
+        # repeated queries stop at the answer table, so the models and cores
+        # that answered them first are checked here directly
+        kb = parse_kb((ROOT / "demos" / "hydrography.alcm").read_text(encoding="utf-8"))
+        self.fresh_session(monkeypatch)
+        battery = hydro_battery(kb, monkeypatch)
+        for service, args in battery:
+            service(kb, *args)
+        found = self.assert_answers_found_again(kb)
+        # the battery's 96 asks, is_meta_concept's among them, are 72 queries
+        assert found[False] and found[True] and sum(found.values()) == 72
+        total = {False: 0, True: 0}
+        for kb, queries in corpus_query_mix():
+            self.fresh_session(monkeypatch)
+            for axiom in queries:
+                entails(kb, axiom)
+            for answer, n in self.assert_answers_found_again(kb).items():
+                total[answer] += n
+        assert total[False] > 1000 and total[True] > 1000
+        assert sum(total.values()) == 4567
+
     def test_threads_sharing_the_session(self, hydro_kb, hydro_circular_kb, monkeypatch):
         # Three KBs asked in turn by more threads than cores: the one session
         # slot changes hands all the time, and no answer may change with it.
-        # Each thread asks every query twice, so an entailed query may meet
-        # the core of its own first ask, or of another thread's; on the
-        # inconsistent KB every query is entailed.
+        # Each thread asks every query twice, so a query may be answered from
+        # the answer its own first ask kept, or another thread's, or from a
+        # model or core another query left; on the inconsistent KB every
+        # query is entailed.
         kbs = (hydro_kb,
                hydro_kb.extended(tbox=[Subsumption(atom("River"), atom("HydrographicObject"))]),
                hydro_circular_kb)
@@ -599,6 +640,58 @@ class TestModelTables:
             answers = [service(kb, *args) for service, args in battery]
             per_pass.append((len(calls), len(computed), answers))
         assert [c for c, _, _ in per_pass] == [26, 0, 0, 0]
-        # the second pass meets the models the first one's last calls left
-        assert per_pass[0][1] > 0 and [n for _, n, _ in per_pass[2:]] == [0, 0]
+        # later passes answer every query from the session's answer table
+        assert per_pass[0][1] > 0 and [n for _, n, _ in per_pass[1:]] == [0, 0, 0]
         assert all(a == per_pass[0][2] for _, _, a in per_pass)
+
+
+class TestAnswerTable:
+    """A session keeps the answer of every query it decided, and a repeated
+    query is answered from that table alone."""
+
+    def test_warm_passes_reach_no_model_root_or_core(self, monkeypatch):
+        counts = {}
+
+        def count(owner, name):
+            method = getattr(owner, name)
+            counts[name] = 0
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("falsifies", "root_of", "refutes"):
+            count(inference._Session, name)
+        count(inference, "check_consistency")
+        count(inference, "entails")  # the services call it through the module
+        kb = parse_kb((ROOT / "demos" / "hydrography.alcm").read_text(encoding="utf-8"))
+        battery = hydro_battery(kb, monkeypatch)
+        TestSessionAgreement.fresh_session(monkeypatch)
+        per_pass, answers = [], []
+        for _ in range(4):
+            counts.update(dict.fromkeys(counts, 0))
+            answers.append([service(kb, *args) for service, args in battery])
+            per_pass.append(dict(counts))
+        first = per_pass[0]
+        assert first["check_consistency"] == 26
+        # is_meta_concept asks some queries more than once within a pass, so
+        # the first pass already answers those from the table
+        assert first["entails"] > len(battery)
+        assert 0 < first["falsifies"] < first["entails"]
+        for later in per_pass[1:]:
+            assert later == dict(first, falsifies=0, root_of=0, refutes=0, check_consistency=0)
+        assert all(a == answers[0] for a in answers)
+
+    def test_a_query_over_budget_keeps_no_answer(self, hydro_kb, asked):
+        # one entailed query and one not entailed, each first asked with a
+        # budget its tableau call runs out of
+        for axiom, want in ((not_equal("deRocha", "queguay"), True),
+                            (ConceptAssertion(atom("Lake"), "queguay"), False)):
+            with pytest.raises(BudgetExceededError):
+                asked(hydro_kb, axiom, 1)
+            assert axiom not in inference._session.answers
+            assert asked(hydro_kb, axiom) == (want, 1)
+            assert inference._session.answers[axiom] is want
+            # the kept answer needs no budget
+            assert asked(hydro_kb, axiom, 1) == (want, 0)

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from alcm.digraph import is_acyclic
 from alcm.parser import parse_kb
 from alcm.semantics import (
     Interpretation,
@@ -28,6 +27,7 @@ from alcm.syntax import (
 )
 
 from conftest import HYDRO_TEXT
+from graph_checks import is_acyclic
 
 A, B = atom("A"), atom("B")
 
