@@ -66,8 +66,6 @@ FRESH_PREFIX = "fresh#"
 # The one individual of a role successor's label; no parsed name has a "#".
 ANONYMOUS = "x#"
 
-BOTTOM_RULES = ("bot1", "bot2", "bot3")
-
 # Every rule name, in the order the strategy tries them.
 RULES = ("bot1", "bot2", "bot3", "and'", "all", "unfold", "eq", "neq", "or'", "close",
          "trans'")
@@ -836,6 +834,7 @@ def _certificate(ra: RuleApplication) -> Certificate:
         for a in ra.principal))
 
 
+# The bottom rules, in the order a refutation trace prefers them.
 _BOTTOM_PREFERENCE = {"bot3": 0, "bot2": 1, "bot1": 2}
 
 
@@ -866,7 +865,7 @@ def _refutation_trace(g: AndOrGraph):
                 v = bots[0]
                 continue
             deferred = [c for c in kids
-                        if g.rules[c] is not None and g.rules[c].rule not in BOTTOM_RULES]
+                        if g.rules[c] is not None and g.rules[c].rule not in _BOTTOM_PREFERENCE]
             if deferred:
                 v = min(deferred)
             else:

@@ -9,11 +9,11 @@ evaluated in their models.  If one of them satisfies the query's negation,
 the extended KB is consistent, so the answer is "not entailed" and no
 tableau call is made.  A verdict becomes a model only when a query first
 needs it, so a one-off query pays nothing for the session, and a model is
-kept only if `semantics.satisfies_kb` confirms it satisfies K.  Beside each
-kept model the session keeps a table of the extensions its queries have
-read there, each computed once with `semantics.extension`, so a query that
-reads an extension an earlier one read costs a lookup and a set test per
-model.
+kept only if `semantics.satisfies_kb` confirms it satisfies K.  A query is
+evaluated in a kept model with `semantics.holds`, except `a =m A`, whose
+negation needs an element equal to A's extension in the model's domain;
+a repeated query is answered from the table of answers below and reaches
+no model.
 
 An inconsistent verdict leaves the core of its root: a part of the root's
 Abox that is unsat with the root's Tbox and Mbox.  The session keeps it
@@ -49,7 +49,7 @@ import threading
 from .engine import DEFAULT_NODE_BUDGET, check_consistency, empty_root, extend_root
 from .errors import UnknownNameError
 from .extraction import model_from_verdict
-from .semantics import Interpretation, el_set, extension, satisfies_kb
+from .semantics import Interpretation, el_set, holds, satisfies_kb
 from .syntax import (
     Concept,
     ConceptAssertion,
@@ -90,11 +90,6 @@ class _Session:
         # (K plus a query, its consistent verdict), not yet turned into models
         self.verdicts = []
         self.models = []
-        # beside each model, in the same order, its table: from each concept
-        # a query evaluated there to the concept's extension, and from each
-        # concept name an Mbox query asked about to the element that is the
-        # name's extension
-        self.tables = []
         # (Mbox, its individuals, core, its individuals) of each refuted
         # root, as frozensets; every root has the KB's Tbox
         self.cores = []
@@ -106,19 +101,16 @@ class _Session:
     def falsifies(self, axiom) -> bool:
         """Some model of the KB kept here satisfies the axiom's negation,
         which refutes the axiom."""
-        for m, table in zip(self.models, self.tables):
-            if _negation_holds(m, table, axiom):
-                return True
+        if any(_negation_holds(m, axiom) for m in self.models):
+            return True
         while self.verdicts:
             # a model of K plus an earlier query: also one of K, and it
             # lists the query's concept names
             m = model_from_verdict(*self.verdicts.pop(0))
             if not satisfies_kb(m, self.kb):  # keep no model that extraction got wrong
                 continue
-            table = {}
             self.models.append(m)
-            self.tables.append(table)
-            if _negation_holds(m, table, axiom):
+            if _negation_holds(m, axiom):
                 return True
         return False
 
@@ -163,41 +155,18 @@ class _Session:
                            core, frozenset(abox_individuals(core))))
 
 
-def _negation_holds(m: Interpretation, table: dict, axiom) -> bool:
+def _negation_holds(m: Interpretation, axiom) -> bool:
     """The model, extended by a fresh individual where the negation has one,
-    satisfies the axiom's negation.  The extensions it reads come from the
-    model's table, and those it lacks are computed once and kept there.
+    satisfies the axiom's negation.
 
     The negation of a =m A needs an element equal to A's extension, and a
     model that falsifies a =m A need not have one: when the KB forces A to
     hold of every element, no element can be that set.
     """
-    t = type(axiom)
-    if t is ConceptAssertion:  # the commonest query: `_extension` inlined
-        c = axiom.concept
-        ext = table.get(c)
-        if ext is None:
-            ext = table[c] = extension(m, c)
-        return m.individuals[axiom.individual] not in ext
-    if t is Subsumption:
-        return not _extension(m, table, axiom.lhs) <= _extension(m, table, axiom.rhs)
-    if t is Equal:
-        return m.individuals[axiom.left] is not m.individuals[axiom.right]
-    if t is NotEqual:
-        return m.individuals[axiom.left] is m.individuals[axiom.right]
-    name = axiom.concept_name
-    wanted = table.get(name)
-    if wanted is None:
-        wanted = table[name] = el_set(m.concepts.get(name, ()))
-    return wanted in m.domain and m.individuals[axiom.individual] is not wanted
-
-
-def _extension(m: Interpretation, table: dict, c: Concept) -> frozenset:
-    """C's extension in the model, from its table or computed into it."""
-    ext = table.get(c)
-    if ext is None:
-        ext = table[c] = extension(m, c)
-    return ext
+    if type(axiom) is MboxAxiom:
+        wanted = el_set(m.concepts.get(axiom.concept_name, ()))
+        return wanted in m.domain and m.individuals[axiom.individual] is not wanted
+    return not holds(m, axiom)
 
 
 _session = _Session(None)

@@ -23,7 +23,7 @@ from alcm.inference import (
 )
 from alcm.parser import parse_kb
 from alcm.randomkb import corpus
-from alcm.semantics import el_set, extension, holds, satisfies_kb
+from alcm.semantics import el_set, extension, satisfies_kb
 from alcm.syntax import (
     ConceptAssertion,
     Equal,
@@ -572,79 +572,6 @@ class TestSessionAgreement:
             assert [got[i] for i in range(len(battery))] == [[e, e] for e in expected]
 
 
-class TestModelTables:
-    """A session evaluates a query in each kept model through the model's
-    table of extensions; the tables change no answer and, once filled,
-    leave nothing to evaluate."""
-
-    @staticmethod
-    def untabled(m, axiom):
-        """The model satisfies the axiom's negation, evaluated afresh."""
-        if isinstance(axiom, MboxAxiom):
-            wanted = el_set(m.concepts.get(axiom.concept_name, ()))
-            return wanted in m.domain and m.individuals[axiom.individual] is not wanted
-        return not holds(m, axiom)
-
-    def assert_tables_agree(self, kb, queries):
-        models = TestSessionAgreement.kept_models(kb)
-        tables = inference._session.tables
-        assert len(tables) == len(models)
-        for m, table in zip(models, tables):
-            for key, value in table.items():
-                if isinstance(key, str):
-                    assert value is el_set(m.concepts.get(key, ()))
-                else:
-                    assert value == extension(m, key)
-            fresh = {}
-            for axiom in queries:
-                want = self.untabled(m, axiom)
-                # a miss then a hit in a fresh table, and the session's own
-                for t in (fresh, fresh, table):
-                    assert inference._negation_holds(m, t, axiom) == want, (kb, axiom)
-        return len(models)
-
-    def test_table_answers_equal_untabled_ones(self, monkeypatch):
-        queries = []
-        entails = inference.entails
-        monkeypatch.setattr(inference, "entails", lambda kb, axiom, budget=DEFAULT_NODE_BUDGET:
-                            queries.append(axiom) or entails(kb, axiom, budget))
-        kb = parse_kb((ROOT / "demos" / "hydrography.alcm").read_text(encoding="utf-8"))
-        TestSessionAgreement.fresh_session(monkeypatch)
-        for service, args in hydro_battery(kb, monkeypatch):
-            service(kb, *args)
-        assert len(queries) > 75  # is_meta_concept asks several
-        assert self.assert_tables_agree(kb, queries) > 1
-        models = 0
-        for kb, queries in corpus_query_mix():
-            TestSessionAgreement.fresh_session(monkeypatch)
-            for axiom in queries:
-                entails(kb, axiom)
-            models += self.assert_tables_agree(kb, queries)
-        assert models > 1000
-
-    def test_warm_passes_compute_no_extension(self, monkeypatch):
-        calls, computed = [], []
-        check = inference.check_consistency
-        monkeypatch.setattr(inference, "check_consistency",
-                            lambda kb, budget: calls.append(kb) or check(kb, budget))
-        # semantics' own recursion and its model checks are counted too
-        for module in (semantics, inference):
-            monkeypatch.setattr(module, "extension",
-                                lambda m, c: computed.append(c) or extension(m, c))
-        kb = parse_kb((ROOT / "demos" / "hydrography.alcm").read_text(encoding="utf-8"))
-        battery = hydro_battery(kb, monkeypatch)
-        TestSessionAgreement.fresh_session(monkeypatch)
-        per_pass = []
-        for _ in range(4):
-            del calls[:], computed[:]
-            answers = [service(kb, *args) for service, args in battery]
-            per_pass.append((len(calls), len(computed), answers))
-        assert [c for c, _, _ in per_pass] == [26, 0, 0, 0]
-        # later passes answer every query from the session's answer table
-        assert per_pass[0][1] > 0 and [n for _, n, _ in per_pass[1:]] == [0, 0, 0]
-        assert all(a == per_pass[0][2] for _, _, a in per_pass)
-
-
 class TestAnswerTable:
     """A session keeps the answer of every query it decided, and a repeated
     query is answered from that table alone."""
@@ -695,3 +622,25 @@ class TestAnswerTable:
             assert inference._session.answers[axiom] is want
             # the kept answer needs no budget
             assert asked(hydro_kb, axiom, 1) == (want, 0)
+
+    def test_warm_passes_compute_no_extension(self, monkeypatch):
+        calls, computed = [], []
+        check = inference.check_consistency
+        monkeypatch.setattr(inference, "check_consistency",
+                            lambda kb, budget: calls.append(kb) or check(kb, budget))
+        # semantics' own recursion, through which `holds` and the model
+        # checks evaluate every concept
+        monkeypatch.setattr(semantics, "extension",
+                            lambda m, c: computed.append(c) or extension(m, c))
+        kb = parse_kb((ROOT / "demos" / "hydrography.alcm").read_text(encoding="utf-8"))
+        battery = hydro_battery(kb, monkeypatch)
+        TestSessionAgreement.fresh_session(monkeypatch)
+        per_pass = []
+        for _ in range(4):
+            del calls[:], computed[:]
+            answers = [service(kb, *args) for service, args in battery]
+            per_pass.append((len(calls), len(computed), answers))
+        assert [c for c, _, _ in per_pass] == [26, 0, 0, 0]
+        # later passes answer every query from the session's answer table
+        assert per_pass[0][1] > 0 and [n for _, n, _ in per_pass[1:]] == [0, 0, 0]
+        assert all(a == per_pass[0][2] for _, _, a in per_pass)
