@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
 from typing import Dict, List, Optional, Tuple
@@ -154,17 +154,40 @@ def _extend(j: BaseJudgement, adds) -> BaseJudgement:
     return type(j)(j.tbox, tuple(abox), j.mbox, h)
 
 
-@dataclass(frozen=True)
 class RuleApplication:
-    rule: str
-    connective: str  # "or" for static rules, "and" for transitional ones
-    principal: tuple
-    premise: object
-    conclusions: tuple
-    # One entry per conclusion: the assertions it adds to the premise's
-    # Abox, keeping its Tbox and Mbox, or None for the merged branch of
-    # `close`.  Empty for rules whose conclusions are built another way.
-    added: tuple = ()
+    """One expansion: the rule, its principal assertions or names, the
+    premise and its conclusions.  Built once per expanded node, so a plain
+    slotted record; equal when every field is."""
+
+    __slots__ = ("rule", "connective", "principal", "premise", "conclusions", "added")
+
+    def __init__(self, rule: str, connective: str, principal: tuple, premise,
+                 conclusions: tuple, added: tuple = ()):
+        self.rule = rule
+        self.connective = connective  # "or" for static rules, "and" for transitional ones
+        self.principal = principal
+        self.premise = premise
+        self.conclusions = conclusions
+        # One entry per conclusion: the assertions it adds to the premise's
+        # Abox, keeping its Tbox and Mbox, or None for the merged branch of
+        # `close`.  Empty for rules whose conclusions are built another way.
+        self.added = added
+
+    def _fields(self) -> tuple:
+        return (self.rule, self.connective, self.principal, self.premise,
+                self.conclusions, self.added)
+
+    def __eq__(self, other):
+        if type(other) is not RuleApplication:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields()))
+        return f"RuleApplication({fields})"
 
 
 # --------------------------------------------------------------------------
@@ -379,37 +402,39 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
 # Graph construction
 # --------------------------------------------------------------------------
 
-@dataclass
 class AndOrGraph:
-    nodes: Dict[object, int] = field(default_factory=dict)
-    labels: List[object] = field(default_factory=list)
-    # "and" | "or" | "end" (expanded, no rule applies) | "bot" | "open" (never expanded)
-    kinds: List[str] = field(default_factory=list)
-    # Child id of each conclusion, in the rule's order.
-    edges: List[List[int]] = field(default_factory=list)
-    rules: List[Optional[RuleApplication]] = field(default_factory=list)
-    # Distinct children of each node, in edge order; set when it is expanded.
-    child_ids: List[tuple] = field(default_factory=list)
-    root: int = 0
-    initial_merges: Dict[str, str] = field(default_factory=dict)
-    # Nodes known unsat, each mapped to its rank in the order they were found.
-    unsat: Dict[int, int] = field(default_factory=dict)
-    # Core of each unsat node but absurdity: a subset of its Abox that is
-    # unsat with its Tbox and Mbox.
-    cores: Dict[int, frozenset] = field(default_factory=dict)
-    # Or-nodes refuted by one child's core alone, mapped to that child.
-    core_child: Dict[int, int] = field(default_factory=dict)
+    """The graph `build_graph` grows: one entry per node in each list, the
+    root's first.  Nodes are added by `build_graph` alone."""
 
-    def add(self, label) -> int:
-        """Give a label the graph does not hold yet the next id."""
-        nid = len(self.labels)
-        self.nodes[label] = nid
-        self.labels.append(label)
-        self.kinds.append("bot" if label is ABSURDITY else "open")
-        self.edges.append([])
-        self.rules.append(None)
-        self.child_ids.append(())
-        return nid
+    __slots__ = ("nodes", "labels", "kinds", "edges", "rules", "child_ids", "root",
+                 "initial_merges", "unsat", "cores", "core_child")
+
+    def __init__(self, root_label, initial_merges: Dict[str, str]):
+        self.nodes: Dict[object, int] = {root_label: 0}
+        self.labels: List[object] = [root_label]
+        # "and" | "or" | "end" (expanded, no rule applies) | "bot" | "open" (never expanded)
+        self.kinds: List[str] = ["open"]
+        # Child id of each conclusion, in the rule's order.
+        self.edges: List[List[int]] = [[]]
+        self.rules: List[Optional[RuleApplication]] = [None]
+        # Distinct children of each node, in edge order; set when it is expanded.
+        self.child_ids: List[tuple] = [()]
+        self.root = 0
+        self.initial_merges = initial_merges
+        # Nodes known unsat, each mapped to its rank in the order they were found.
+        self.unsat: Dict[int, int] = {}
+        # Core of each unsat node but absurdity: a subset of its Abox that is
+        # unsat with its Tbox and Mbox.
+        self.cores: Dict[int, frozenset] = {}
+        # Or-nodes refuted by one child's core alone, mapped to that child.
+        self.core_child: Dict[int, int] = {}
+
+    def __eq__(self, other):
+        if type(other) is not AndOrGraph:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in AndOrGraph.__slots__)
+
+    __hash__ = None
 
     def children(self, nid: int) -> tuple:
         return self.child_ids[nid]
@@ -564,17 +589,15 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     absurdity, and ``g.core_child`` the backjumps.  The node budget counts
     the nodes built.
     """
-    root, merges = initialize_root(kb)
-    g = AndOrGraph(initial_merges=merges)
-    g.root = g.add(root)
-    nodes, kinds, unsat, kids = g.nodes, g.kinds, g.unsat, g.child_ids
+    g = AndOrGraph(*initialize_root(kb))
+    nodes, labels, kinds, unsat = g.nodes, g.labels, g.kinds, g.unsat
+    edges_of, rules, kids = g.edges, g.rules, g.child_ids
     parents: List[List[int]] = [[]]
 
     def settle(v):
         """Refute v if it is unsat now, then every ancestor that dies with it."""
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
+        queue = [v]
+        for u in queue:  # the queue grows as it is read: breadth first
             death = None if u in unsat else _refuted(g, u)
             if death is None:
                 continue
@@ -583,30 +606,38 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             g.cores[u] = core
             if by is not None:
                 g.core_child[u] = by
-            queue.extend(parents[u])
+            queue += parents[u]
 
     def expand(v):
-        ra = applicable_rule(g.labels[v])
+        ra = applicable_rule(labels[v])
         if ra is None:
             kinds[v] = "end"
             return
-        g.rules[v] = ra
+        rules[v] = ra
         kinds[v] = "and" if ra.connective == "and" else "or"
-        edges = g.edges[v]
+        edges = edges_of[v]
         for concl in ra.conclusions:
             cid = nodes.get(concl)
-            if cid is None:
-                cid = g.add(concl)
-                if len(g.labels) > node_budget:
+            if cid is None:  # a new node, open unless it is absurdity
+                cid = len(labels)
+                if cid >= node_budget:
                     raise BudgetExceededError(
                         f"node budget ({node_budget}) exhausted")
+                nodes[concl] = cid
+                labels.append(concl)
+                edges_of.append([])
+                rules.append(None)
+                kids.append(())
                 parents.append([])
                 if concl is ABSURDITY:
+                    kinds.append("bot")
                     unsat[cid] = len(unsat)
+                else:
+                    kinds.append("open")
             edges.append(cid)
-        kids[v] = tuple(dict.fromkeys(edges))
+        kids[v] = ks = tuple(edges) if len(edges) == 1 else tuple(dict.fromkeys(edges))
         dead = False
-        for c in kids[v]:
+        for c in ks:
             parents[c].append(v)
             dead = dead or c in unsat
         if dead:  # with no unsat child, v cannot be refuted yet
@@ -615,7 +646,7 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     marked: set = set()
     starts = [g.root]
     while True:
-        frontier = sorted(v for v in _walk(g, marked, starts) if kinds[v] == "open")
+        frontier = sorted([v for v in _walk(g, marked, starts) if kinds[v] == "open"])
         if not frontier:
             break
         before = len(unsat)

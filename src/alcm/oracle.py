@@ -20,9 +20,18 @@ from .digraph import find_cycle
 from .engine import Consistent, Inconsistent
 from .errors import BudgetExceededError
 from .syntax import (
+    AND,
+    ATOM,
+    BOT,
+    EXISTS,
+    FORALL,
+    NOT,
+    OR,
+    TOP,
     Concept,
     ConceptAssertion,
     Equal,
+    Equivalence,
     KnowledgeBase,
     MboxAxiom,
     NotEqual,
@@ -30,11 +39,13 @@ from .syntax import (
     abox_individuals,
     assertion_key,
     atom,
+    bot,
     conj,
     disj,
+    exists,
+    forall,
     neg,
-    nnf_abox,
-    nnf_tbox,
+    top,
 )
 
 DEFAULT_STEP_BUDGET = 200_000
@@ -42,6 +53,91 @@ DEFAULT_STEP_BUDGET = 200_000
 VAR_PREFIX = "v#"
 WITNESS_PREFIX = "w#"
 
+
+# --------------------------------------------------------------------------
+# Negation normal form, the oracle's own
+# --------------------------------------------------------------------------
+
+# The engine's `syntax.nnf` keeps each result on the interned concept.  The
+# oracle recomputes the same form on every call, with the same rewrite
+# rules over the same constructors, so that it stays a fixed yardstick for
+# the engine: no speed-up of the engine's NNF moves the oracle's time.
+
+def _and(l: Concept, r: Concept) -> Concept:
+    if l.tag == TOP:
+        return r
+    if r.tag == TOP:
+        return l
+    if l.tag == BOT or r.tag == BOT:
+        return bot()
+    return conj(l, r)
+
+
+def _or(l: Concept, r: Concept) -> Concept:
+    if l.tag == BOT:
+        return r
+    if r.tag == BOT:
+        return l
+    if l.tag == TOP or r.tag == TOP:
+        return top()
+    return disj(l, r)
+
+
+def _nnf(c: Concept) -> Concept:
+    """Negation normal form with constant folding, as `syntax.nnf`."""
+    t = c.tag
+    if t in (TOP, BOT, ATOM):
+        return c
+    if t == AND:
+        return _and(_nnf(c.left), _nnf(c.right))
+    if t == OR:
+        return _or(_nnf(c.left), _nnf(c.right))
+    if t == EXISTS:
+        return exists(c.role, _nnf(c.child))
+    if t == FORALL:
+        return forall(c.role, _nnf(c.child))
+    d = c.child  # t == NOT
+    if d.tag == ATOM:
+        return c
+    if d.tag == TOP:
+        return bot()
+    if d.tag == BOT:
+        return top()
+    if d.tag == NOT:
+        return _nnf(d.child)
+    if d.tag == AND:
+        return _or(_nnf(neg(d.left)), _nnf(neg(d.right)))
+    if d.tag == OR:
+        return _and(_nnf(neg(d.left)), _nnf(neg(d.right)))
+    if d.tag == EXISTS:
+        return forall(d.role, _nnf(neg(d.child)))
+    return exists(d.role, _nnf(neg(d.child)))  # d.tag == FORALL
+
+
+def _nnf_tbox(tbox) -> frozenset:
+    """Each Tbox axiom as NNF concepts that hold everywhere; an equivalence
+    gives both directions."""
+    out = set()
+    for ax in tbox:
+        out.add(_nnf(disj(neg(ax.lhs), ax.rhs)))
+        if isinstance(ax, Equivalence):
+            out.add(_nnf(disj(neg(ax.rhs), ax.lhs)))
+    return frozenset(out)
+
+
+def _nnf_abox(abox) -> frozenset:
+    out = set()
+    for a in abox:
+        if isinstance(a, ConceptAssertion):
+            out.add(ConceptAssertion(_nnf(a.concept), a.individual))
+        else:
+            out.add(a)
+    return frozenset(out)
+
+
+# --------------------------------------------------------------------------
+# Completion forest
+# --------------------------------------------------------------------------
 
 @dataclass
 class Forest:
@@ -85,8 +181,8 @@ class Forest:
 
 def initialize_forest(kb: KnowledgeBase) -> Forest:
     """Seed the forest from the KB: merged equality classes, labels, edges."""
-    tbox = sorted(nnf_tbox(kb.tbox), key=lambda c: c.key)
-    abox = nnf_abox(kb.abox)
+    tbox = sorted(_nnf_tbox(kb.tbox), key=lambda c: c.key)
+    abox = _nnf_abox(kb.abox)
     names = sorted(abox_individuals(abox) | kb.mbox_dom())
     uf = {n: n for n in names}
 

@@ -5,12 +5,14 @@ twice returns the same object, so structural equality is identity and both
 can be used freely as dict keys.  Every concept and assertion carries a
 precomputed structural sort key; that fixed total order is what makes
 judgement labels, rule choices and printed output deterministic across runs.
+A concept also keeps its negation normal form once `nnf` has computed it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Iterable
 
@@ -19,9 +21,13 @@ TOP, BOT, ATOM, NOT, AND, OR, EXISTS, FORALL = range(8)
 
 
 class Concept:
-    """One node of the interned concept DAG.  Use the module constructors."""
+    """One node of the interned concept DAG.  Use the module constructors.
 
-    __slots__ = ("tag", "name", "role", "left", "right", "child", "key")
+    ``nnf_form`` is the concept's negation normal form once `nnf` has
+    computed it, else None: a memo that lasts as long as the interned node.
+    """
+
+    __slots__ = ("tag", "name", "role", "left", "right", "child", "key", "nnf_form")
 
     def __init__(self, tag, name, role, left, right, child, key):
         self.tag = tag
@@ -31,6 +37,7 @@ class Concept:
         self.right = right
         self.child = child
         self.key = key
+        self.nnf_form = None
 
     def __lt__(self, other: "Concept") -> bool:
         return self.key < other.key
@@ -128,39 +135,77 @@ def _disj_simplified(l: Concept, r: Concept) -> Concept:
     return disj(l, r)
 
 
+def _nnf_step(c: Concept):
+    """One rewrite step of `nnf` at ``c``: ``(build, operands)`` such that
+    the NNF of ``c`` is ``build`` applied to the NNFs of ``operands``."""
+    t = c.tag
+    if t == AND:
+        return _conj_simplified, (c.left, c.right)
+    if t == OR:
+        return _disj_simplified, (c.left, c.right)
+    if t == EXISTS:
+        return partial(exists, c.role), (c.child,)
+    if t == FORALL:
+        return partial(forall, c.role), (c.child,)
+    if t != NOT:  # TOP, BOT, ATOM
+        return partial(_same, c), ()
+    d = c.child
+    t = d.tag
+    if t == ATOM:
+        return partial(_same, c), ()
+    if t == TOP:
+        return bot, ()
+    if t == BOT:
+        return top, ()
+    if t == NOT:
+        return _same, (d.child,)
+    if t == AND:
+        return _disj_simplified, (neg(d.left), neg(d.right))
+    if t == OR:
+        return _conj_simplified, (neg(d.left), neg(d.right))
+    if t == EXISTS:
+        return partial(forall, d.role), (neg(d.child),)
+    return partial(exists, d.role), (neg(d.child),)  # t == FORALL
+
+
+def _same(c: Concept) -> Concept:
+    return c
+
+
 def nnf(c: Concept) -> Concept:
     """Negation normal form with constant folding.
 
     Negation ends up applied to atoms only (never to top/bot), and top/bot
     never survive as operands of a binary connective.
+
+    The result is kept on the interned node (``Concept.nnf_form``), so a
+    concept is put into NNF once per process and every later call is one
+    field read.  It is computed without recursion, operands first; the
+    concepts met on the way (negations pushed inward among them) keep their
+    NNFs too, and a result, being in NNF, is its own.
     """
-    t = c.tag
-    if t in (TOP, BOT, ATOM):
-        return c
-    if t == AND:
-        return _conj_simplified(nnf(c.left), nnf(c.right))
-    if t == OR:
-        return _disj_simplified(nnf(c.left), nnf(c.right))
-    if t == EXISTS:
-        return exists(c.role, nnf(c.child))
-    if t == FORALL:
-        return forall(c.role, nnf(c.child))
-    d = c.child  # t == NOT
-    if d.tag == ATOM:
-        return c
-    if d.tag == TOP:
-        return bot()
-    if d.tag == BOT:
-        return top()
-    if d.tag == NOT:
-        return nnf(d.child)
-    if d.tag == AND:
-        return _disj_simplified(nnf(neg(d.left)), nnf(neg(d.right)))
-    if d.tag == OR:
-        return _conj_simplified(nnf(neg(d.left)), nnf(neg(d.right)))
-    if d.tag == EXISTS:
-        return forall(d.role, nnf(neg(d.child)))
-    return exists(d.role, nnf(neg(d.child)))  # d.tag == FORALL
+    r = c.nnf_form
+    if r is not None:
+        return r
+    stack = [c]
+    while stack:
+        d = stack[-1]
+        if d.nnf_form is not None:
+            stack.pop()
+            continue
+        build, operands = _nnf_step(d)
+        todo = [o for o in operands if o.nnf_form is None]
+        if todo:
+            stack += todo
+            continue
+        r = build(*[o.nnf_form for o in operands])
+        # every thread builds the same interned object, so a racing write
+        # stores what is already there
+        d.nnf_form = r
+        if r.nnf_form is None:
+            r.nnf_form = r
+        stack.pop()
+    return c.nnf_form
 
 
 def subconcepts(c: Concept) -> frozenset:

@@ -1,9 +1,9 @@
 """And-or graph engine: initialization, rules, graph construction, verdicts."""
 
+import copy
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -791,7 +791,9 @@ class TestGraphHygiene:
             # child's core refuted, closed under propagation.  Each such
             # core is checked on its own: it lies in the node's Abox, the
             # oracle refutes it, and it is the child's core.
-            blind = unsat_nodes(replace(g, core_child={}))
+            blind_graph = copy.copy(g)  # the same lists and maps, no backjumps
+            blind_graph.core_child = {}
+            blind = unsat_nodes(blind_graph)
             assert blind <= set(g.unsat)
             assert unsat_nodes(g) == set(g.unsat)
             for v, c in g.core_child.items():

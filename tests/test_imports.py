@@ -9,6 +9,9 @@ A private name is a module-level `_`-prefixed function, class or variable
 (dunders such as `__all__` excepted).  It counts as read when any module
 under src/ loads it as a name or an attribute (``engine._walk``), or
 imports it by name.  Tests do not count: code only they reach is dead.
+
+The oracle, the yardstick the engine is measured and refereed against,
+takes none of `syntax`'s NNF functions: it keeps its own copy.
 """
 
 import ast
@@ -109,3 +112,36 @@ def test_the_private_name_check_sees_what_it_should():
     }
     assert unread_private_names(sources) == [
         ("a", 2, "_PUNCT"), ("a", 4, "_x"), ("a", 6, "_canonical_fresh")]
+
+
+# The NNF functions of `syntax`, which the engine uses and memoises.
+SHARED_NNF = {"nnf", "nnf_tbox", "nnf_abox"}
+
+
+def shared_nnf_uses(source: str):
+    """(line, name) of each of `syntax`'s NNF functions that a module
+    imports by name, from whatever module, or reads as ``syntax.<name>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in SHARED_NNF]
+        elif (isinstance(node, ast.Attribute) and node.attr in SHARED_NNF
+              and isinstance(node.value, ast.Name) and node.value.id == "syntax"):
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_the_oracle_keeps_its_own_nnf():
+    path = ROOT / "src" / "alcm" / "oracle.py"
+    assert shared_nnf_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_nnf_check_sees_what_it_should():
+    source = ("from . import syntax\n"
+              "from .syntax import (\n    conj,\n    nnf_abox,\n)\n"
+              "from alcm.syntax import nnf\n"
+              "from . import nnf_tbox\n"
+              "from .engine import nnf as other\n"
+              "def f(c): return syntax.nnf(c), syntax.neg(c), _nnf(c)\n")
+    assert shared_nnf_uses(source) == [
+        (2, "nnf_abox"), (6, "nnf"), (7, "nnf_tbox"), (8, "nnf"), (9, "nnf")]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from alcm import oracle
 from alcm.parser import parse_kb
 from alcm.semantics import (
     Interpretation,
@@ -222,6 +223,13 @@ def small_interps(draw):
 @given(small_interps(), concepts)
 def test_nnf_preserves_extension(interp, c):
     assert extension(interp, c) == extension(interp, nnf(c))
+
+
+@given(concepts)
+def test_the_oracle_nnf_is_the_engine_nnf(c):
+    # the oracle keeps its own NNF, so the check above covers it only
+    # through this identity
+    assert oracle._nnf(c) is nnf(c)
 
 
 @given(small_interps(), concepts, concepts)

@@ -7,11 +7,12 @@ import pickle
 import sys
 import threading
 import uuid
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
-from alcm import syntax
+from alcm import oracle, syntax
 from alcm.engine import ABSURDITY, check_consistency
 from alcm.parser import parse_kb
 from alcm.randomkb import corpus
@@ -32,6 +33,7 @@ from alcm.syntax import (
     forall,
     neg,
     nnf,
+    nnf_abox,
     nnf_tbox,
     not_equal,
     rename_abox,
@@ -39,6 +41,8 @@ from alcm.syntax import (
     subconcepts,
     top,
 )
+
+from nnf_reference import forget_nnf, reference_nnf
 
 A, B, C = atom("A"), atom("B"), atom("C")
 
@@ -112,6 +116,153 @@ class TestNnf:
             if d.tag in (syntax.AND, syntax.OR):
                 assert d.left.tag not in (syntax.TOP, syntax.BOT)
                 assert d.right.tag not in (syntax.TOP, syntax.BOT)
+
+
+def kb_concepts(kb) -> list:
+    """The concepts of a KB: those of its concept assertions, both sides of
+    each Tbox axiom, and each axiom's internalised concepts."""
+    out = [a.concept for a in kb.abox if type(a) is ConceptAssertion]
+    for ax in kb.tbox:
+        out += [ax.lhs, ax.rhs, disj(neg(ax.lhs), ax.rhs)]
+        if type(ax) is Equivalence:
+            out.append(disj(neg(ax.rhs), ax.lhs))
+    return out
+
+
+def slice_concepts() -> list:
+    """Every subconcept of the concepts of the first 300 KBs of seed 20240,
+    and the negation of each, in key order."""
+    found = set()
+    for kb in corpus(seed=20240, size=300):
+        for c in kb_concepts(kb):
+            found |= subconcepts(c)
+    found |= {neg(c) for c in found}
+    return sorted(found, key=lambda c: c.key)
+
+
+def fresh_concepts(n: int) -> list:
+    """Three concepts for each of ``n`` pairs of atoms no earlier call has
+    interned, with every connective, negations of compound concepts, and
+    constants."""
+    tag = uuid.uuid4().hex
+    out = []
+    for k in range(n):
+        x, y = atom(f"{tag}x{k}"), atom(f"{tag}y{k}")
+        body = disj(conj(x, neg(B)), forall("R", neg(conj(y, top()))))
+        out += [neg(conj(body, exists("S", neg(disj(x, bot()))))), neg(neg(body)),
+                disj(neg(exists("R", body)), conj(y, neg(forall("S", x))))]
+    return out
+
+
+class TestNnfMemo:
+    """`nnf` keeps each result on the interned concept: whatever filled the
+    memo, and in whatever order, every call must give the reference NNF."""
+
+    def test_a_memo_the_engine_filled_agrees_with_the_reference(self):
+        concepts = slice_concepts()
+        forget_nnf()
+        for kb in corpus(seed=20240, size=300):
+            check_consistency(kb)
+        filled = [c for c in concepts if c.nnf_form is not None]
+        assert len(filled) > 500
+        for c in filled:
+            assert c.nnf_form is reference_nnf(c)
+        for c in concepts:
+            assert nnf(c) is reference_nnf(c)
+
+    @pytest.mark.parametrize("order", ["shallow first", "deep first"])
+    def test_a_memo_direct_calls_filled_agrees_with_the_reference(self, order):
+        concepts = sorted(slice_concepts(), key=lambda c: len(subconcepts(c)),
+                          reverse=order == "deep first")
+        forget_nnf()
+        assert all(nnf(c) is reference_nnf(c) for c in concepts)
+        assert all(c.nnf_form is reference_nnf(c) for c in concepts)
+
+    def test_a_normal_form_is_its_own(self):
+        concepts = slice_concepts() + fresh_concepts(20)
+        forget_nnf()
+        for c in concepts:
+            assert nnf(nnf(c)) is nnf(c)
+            assert nnf(c).nnf_form is nnf(c)
+
+    def test_threads_get_the_same_objects(self):
+        concepts = fresh_concepts(150)  # no memo filled yet
+        n_threads = 4
+        start = threading.Barrier(n_threads, timeout=30)
+        made = [None] * n_threads
+
+        def normalise(i):
+            start.wait()
+            order = range(len(concepts)) if i % 2 else reversed(range(len(concepts)))
+            made[i] = sorted((k, nnf(concepts[k])) for k in order)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=normalise, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(m is not None for m in made)
+        for k, c in enumerate(concepts):
+            want = reference_nnf(c)
+            assert all(m[k][1] is want for m in made)
+            assert c.nnf_form is want
+
+    def test_copies_of_a_memoised_concept_are_the_concept(self):
+        c = neg(conj(A, exists("R", neg(disj(B, C)))))
+        n = nnf(c)
+        for x in (c, n, neg(n)):
+            assert pickle.loads(pickle.dumps(x)) is x
+            assert copy.copy(x) is x
+            assert copy.deepcopy(x) is x
+        assert c.nnf_form is n and n.nnf_form is n
+
+
+class TestNnfWithoutRecursion:
+    """`nnf` loops over an explicit stack, so depth is no limit."""
+
+    N = 1000
+
+    def fresh_atoms(self):
+        tag = uuid.uuid4().hex
+        return [atom(f"{tag}{k}") for k in range(self.N)]
+
+    def test_a_flat_conjunction_of_1000_atoms(self):
+        big = reduce(conj, self.fresh_atoms())  # left-nested, 999 deep
+        assert nnf(big) is big
+
+    def test_its_negation(self):
+        atoms = self.fresh_atoms()
+        assert nnf(neg(reduce(conj, atoms))) is reduce(disj, [neg(a) for a in atoms])
+
+    def test_a_1000_deep_chain_of_not_exists(self):
+        # c_0 = A, c_k = not exists R . c_{k-1}; so nnf(c_k) = forall R . nnf(not c_{k-1})
+        # and nnf(not c_k) = exists R . nnf(c_{k-1})
+        x = self.fresh_atoms()[0]
+        c, pos, negated = x, x, neg(x)
+        for _ in range(self.N):
+            c = neg(exists("R", c))
+            pos, negated = forall("R", negated), exists("R", pos)
+        assert nnf(c) is pos
+        assert nnf(neg(c)) is negated
+
+
+class TestOracleNnf:
+    """The oracle puts its input into NNF with its own, unmemoised copy of
+    the rewrite, so that it stays a fixed yardstick; it must give the very
+    concepts `syntax.nnf` gives."""
+
+    def test_the_oracle_nnf_is_the_engine_nnf_on_the_slice(self):
+        for kb in corpus(seed=20240, size=300):
+            for c in kb_concepts(kb):
+                assert oracle._nnf(c) is nnf(c)
+            assert oracle._nnf_tbox(kb.tbox) == nnf_tbox(kb.tbox)
+            assert oracle._nnf_abox(kb.abox) == nnf_abox(kb.abox)
 
 
 class TestNnfTbox:
