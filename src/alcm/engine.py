@@ -232,18 +232,25 @@ def circular(abox, mbox):
     """Cycle in the membership graph induced by the Abox over the Mbox domain.
 
     Nodes are the Mbox individuals; there is an edge a -> b whenever B(a) is
-    asserted and b corresponds to B.  Returns the cycle or None.
+    asserted and b corresponds to B.  Returns the cycle or None.  A cycle
+    needs an edge, so when no atom of an Mbox concept sits on an Mbox
+    individual this returns None before it builds the graph; the rule
+    selection and the extraction checks all call it without a test of
+    their own.
     """
     by_concept: Dict[str, List[str]] = {}
     for m in mbox:
         by_concept.setdefault(m.concept_name, []).append(m.individual)
     mdom = {m.individual for m in mbox}
+    arcs = [(a.individual, bs) for a in abox
+            if type(a) is ConceptAssertion and a.individual in mdom
+            and a.concept.tag == syntax.ATOM
+            and (bs := by_concept.get(a.concept.name)) is not None]
+    if not arcs:
+        return None
     succ: Dict[str, set] = {a: set() for a in mdom}
-    for a in abox:
-        if isinstance(a, ConceptAssertion) and a.individual in mdom \
-                and a.concept.tag == syntax.ATOM:
-            for b in by_concept.get(a.concept.name, ()):
-                succ[a.individual].add(b)
+    for a, bs in arcs:
+        succ[a].update(bs)
     return find_cycle(mdom, succ)
 
 
@@ -310,12 +317,9 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
     if M:  # a role successor has no Mbox, hence no membership cycle
         for m in M:
             concept_of.setdefault(m.individual, m.concept_name)
-        # a cycle needs an edge: an atom of an Mbox concept on an Mbox individual
-        names = {m.concept_name for m in M}
-        if any(a.individual in concept_of and a.concept.name in names for a in atoms):
-            cycle = circular(atoms, M)
-            if cycle is not None:
-                return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
+        cycle = circular(atoms, M)
+        if cycle is not None:
+            return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
 
     # Unary static rules.
     for a in ands:
@@ -407,7 +411,7 @@ class AndOrGraph:
     root's first.  Nodes are added by `build_graph` alone."""
 
     __slots__ = ("nodes", "labels", "kinds", "edges", "rules", "child_ids", "root",
-                 "initial_merges", "unsat", "cores", "core_child")
+                 "initial_merges", "unsat", "cores", "core_child", "walk")
 
     def __init__(self, root_label, initial_merges: Dict[str, str]):
         self.nodes: Dict[object, int] = {root_label: 0}
@@ -428,6 +432,10 @@ class AndOrGraph:
         self.cores: Dict[int, frozenset] = {}
         # Or-nodes refuted by one child's core alone, mapped to that child.
         self.core_child: Dict[int, int] = {}
+        # The last marking walk of construction: the nodes it marked and the
+        # child it took at each or-node.  When the root is not unsat, this
+        # is the closed marking that decided the KB.
+        self.walk: Tuple[set, Dict[int, int]] = (set(), {})
 
     def __eq__(self, other):
         if type(other) is not AndOrGraph:
@@ -583,7 +591,8 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
 
     Construction stops when the root is unsat (the KB is inconsistent) or
     when the walk reaches no unexpanded node (the KB is consistent: that
-    closed marking avoids the least unsat fixpoint of the full graph).
+    closed marking avoids the least unsat fixpoint of the full graph, and
+    ``g.walk`` keeps it for `consistent_marking`).
     Nodes never expanded keep kind "open"; ``g.unsat`` holds the propagated
     set in the order it grew, ``g.cores`` the core of each unsat node but
     absurdity, and ``g.core_child`` the backjumps.  The node budget counts
@@ -643,10 +652,11 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
         if dead:  # with no unsat child, v cannot be refuted yet
             settle(v)
 
-    marked: set = set()
+    marked, choice = g.walk
     starts = [g.root]
     while True:
-        frontier = sorted([v for v in _walk(g, marked, starts) if kinds[v] == "open"])
+        frontier = sorted([v for v in _walk(g, marked, choice, starts)
+                           if kinds[v] == "open"])
         if not frontier:
             break
         before = len(unsat)
@@ -655,13 +665,15 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             if len(unsat) != before:
                 break  # the walk may now take other children: walk again
         if len(unsat) == before:
-            # every choice stands: walk on from the nodes just expanded
+            # every choice stands: walk on from the nodes just expanded,
+            # which were open, so none of them has a choice yet
             marked.difference_update(frontier)
             starts = frontier
         elif g.root in unsat:
             break
         else:
             marked.clear()
+            choice.clear()
             starts = [g.root]
     return g
 
@@ -806,10 +818,10 @@ def _least_live_child(g: AndOrGraph, v: int) -> int:
     return least
 
 
-def _walk(g: AndOrGraph, marked: set, starts) -> list:
+def _walk(g: AndOrGraph, marked: set, choice: Dict[int, int], starts) -> list:
     """Add to ``marked`` the nodes the marking walk reaches from ``starts``
-    (`_least_live_child` of an or-node, every child of an and-node) and
-    return the ones it newly marks."""
+    (`_least_live_child` of an or-node, recorded in ``choice``, and every
+    child of an and-node) and return the ones it newly marks."""
     kinds, kids = g.kinds, g.child_ids
     new = []
     stack = list(starts)
@@ -820,7 +832,8 @@ def _walk(g: AndOrGraph, marked: set, starts) -> list:
         marked.add(v)
         new.append(v)
         if kinds[v] == "or":
-            stack.append(_least_live_child(g, v))
+            c = choice[v] = _least_live_child(g, v)
+            stack.append(c)
         elif kinds[v] == "and":
             stack.extend(kids[v])
     return new
@@ -830,14 +843,19 @@ def consistent_marking(g: AndOrGraph) -> Marking:
     """The marking reached from the root, taking at each or-node the least
     child id that is not in ``g.unsat``.
 
-    At a ``close`` node this is usually the merge branch: its conclusion is
-    added to the graph before the separated one, so it gets the lower id
-    unless the separated judgement was already cached.  Any surviving child
-    would give a legal marking; this preference only fixes which one.
+    This is the walk that decided the KB: `build_graph` stops when its walk
+    reaches no open node, and keeps that walk on the graph (``g.walk``), so
+    the marking is read off it rather than walked again.  The graph must be
+    one `build_graph` returned with its root not unsat.
+
+    At a ``close`` node the choice is usually the merge branch: its
+    conclusion is added to the graph before the separated one, so it gets
+    the lower id unless the separated judgement was already cached.  Any
+    surviving child would give a legal marking; this preference only fixes
+    which one.
     """
-    nodes = frozenset(_walk(g, set(), [g.root]))
-    return Marking(nodes, {v: _least_live_child(g, v) for v in nodes
-                           if g.kinds[v] == "or"})
+    marked, choice = g.walk
+    return Marking(frozenset(marked), choice)
 
 
 @dataclass(frozen=True)

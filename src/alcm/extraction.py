@@ -29,7 +29,6 @@ from .syntax import (
     ConceptAssertion,
     NotEqual,
     RoleAssertion,
-    abox_individuals,
     concept_to_str,
     disjuncts,
 )
@@ -59,9 +58,14 @@ def build_rgraph(g: AndOrGraph, marking: Marking):
     """Flatten a consistent marking into an R-graph.
 
     Returns (rgraph, terminal judgement, merge list), where the terminal
-    judgement is the base and-node closing the root's saturation path and
-    the merge list records the (keep, drop) pairs of every merge taken on
-    that path, in order.
+    judgement is the base and-node (or end node) closing the root's
+    saturation path and the merge list records the (keep, drop) pairs of
+    every merge taken on that path, in order.
+
+    The named elements, their labels and the role edges come from one pass
+    over the terminal's Abox, plus its Mbox individuals, in name order.
+    Only a `trans'` terminal has successors to add: they are read off the
+    marking from it, and elements with equal labels are shared.
     """
     root_path = saturation_path(g, marking, g.root)
     merges = []
@@ -72,46 +76,57 @@ def build_rgraph(g: AndOrGraph, marking: Marking):
     terminal_id = root_path[-1]
     terminal = g.labels[terminal_id]
 
-    abox = terminal.abox
-    names = sorted(abox_individuals(abox) | {m.individual for m in terminal.mbox})
-    labels: Dict[str, set] = {n: set() for n in names}
+    found: Dict[str, set] = {}
     edges: Dict[str, set] = {}
-    for a in abox:
-        if isinstance(a, ConceptAssertion):
-            labels[a.individual].add(a.concept)
-        elif isinstance(a, RoleAssertion):
+    for a in terminal.abox:
+        t = type(a)
+        if t is ConceptAssertion:
+            have = found.get(a.individual)
+            if have is None:
+                found[a.individual] = {a.concept}
+            else:
+                have.add(a.concept)
+        elif t is RoleAssertion:
             edges.setdefault(a.role, set()).add((a.subject, a.object))
+            found.setdefault(a.subject, set())
+            found.setdefault(a.object, set())
+        else:  # an inequality: base judgements carry no equalities
+            found.setdefault(a.left, set())
+            found.setdefault(a.right, set())
+    for m in terminal.mbox:
+        found.setdefault(m.individual, set())
+    delta: List[str] = sorted(found)
+    labels: Dict[str, FrozenSet[Concept]] = {n: frozenset(found[n]) for n in delta}
 
-    # elements with equal labels are one element: the first name wins
-    element_of: Dict[FrozenSet[Concept], str] = {}
-    for n in names:
-        element_of.setdefault(frozenset(labels[n]), n)
-    delta: List[str] = list(names)
-    queue = deque((n, terminal_id) for n in names)
-    while queue:
-        x, u = queue.popleft()
-        if g.kinds[u] != "and":
-            continue
-        # edge i of a trans' node is the successor of its i-th existential;
-        # x's are asserted of x at the terminal, of ANONYMOUS in a successor
-        me = x if u == terminal_id else ANONYMOUS
-        for e, w in zip(g.rules[u].principal, g.edges[u]):
-            if e.individual != me:
+    if g.kinds[terminal_id] == "and":
+        named = len(delta)
+        # elements with equal labels are one element: the first name wins
+        element_of: Dict[FrozenSet[Concept], str] = {}
+        for n in delta:
+            element_of.setdefault(labels[n], n)
+        queue = deque((n, terminal_id) for n in delta)
+        while queue:
+            x, u = queue.popleft()
+            if g.kinds[u] != "and":
                 continue
-            # labels only grow along an or-path, so its last one holds them all
-            v = saturation_path(g, marking, w)[-1]
-            Y = frozenset(a.concept for a in g.labels[v].abox)
-            y = element_of.get(Y)
-            if y is None:
-                y = element_of[Y] = f"{VAR_PREFIX}{len(delta) - len(names)}"
-                delta.append(y)
-                labels[y] = Y
-                queue.append((y, v))
-            edges.setdefault(e.concept.role, set()).add((x, y))
+            # edge i of a trans' node is the successor of its i-th existential;
+            # x's are asserted of x at the terminal, of ANONYMOUS in a successor
+            me = x if u == terminal_id else ANONYMOUS
+            for e, w in zip(g.rules[u].principal, g.edges[u]):
+                if e.individual != me:
+                    continue
+                # labels only grow along an or-path, so its last one holds them all
+                v = saturation_path(g, marking, w)[-1]
+                Y = frozenset(a.concept for a in g.labels[v].abox)
+                y = element_of.get(Y)
+                if y is None:
+                    y = element_of[Y] = f"{VAR_PREFIX}{len(delta) - named}"
+                    delta.append(y)
+                    labels[y] = Y
+                    queue.append((y, v))
+                edges.setdefault(e.concept.role, set()).add((x, y))
 
-    rg = RGraph(tuple(delta),
-                {n: frozenset(ls) for n, ls in labels.items()},
-                {r: frozenset(ps) for r, ps in edges.items()})
+    rg = RGraph(tuple(delta), labels, {r: frozenset(ps) for r, ps in edges.items()})
     return rg, terminal, merges
 
 
@@ -279,16 +294,17 @@ def model_from_verdict(kb, verdict) -> Interpretation:
     rep = dict(verdict.graph.initial_merges)
     for keep, drop in merges:
         rep = {orig: (keep if r == drop else r) for orig, r in rep.items()}
-    domain = set(interp.domain)
+    fresh = []
     for orig in sorted(rep):
         r = rep[orig]
         e = interp.individuals.get(r)
         if e is None:
             e = el_atom(r)
             interp.individuals[r] = e
-            domain.add(e)
+            fresh.append(e)
         interp.individuals[orig] = e
-    interp.domain = frozenset(domain)
+    if fresh:  # else unfold_sets' domain stands as it is
+        interp.domain = interp.domain.union(fresh)
     return interp
 
 

@@ -93,9 +93,9 @@ class _Session:
         # (Mbox, its individuals, core, its individuals) of each refuted
         # root, as frozensets; every root has the KB's Tbox
         self.cores = []
-        # from each query axiom answered on this KB to its answer; assertions
-        # are interned and the other axioms are frozen records of interned
-        # concepts and strings, so a lookup builds nothing
+        # from each query axiom answered on this KB to its answer; every
+        # query axiom is an interned record that hashes by identity, so a
+        # lookup builds nothing
         self.answers = {}
 
     def falsifies(self, axiom) -> bool:

@@ -1,8 +1,8 @@
 """Term language for ALCM knowledge bases.
 
-Concepts and Abox assertions are hash-consed: constructing the same shape
-twice returns the same object, so structural equality is identity and both
-can be used freely as dict keys.  Every concept and assertion carries a
+Concepts, assertions and axioms are hash-consed: constructing the same shape
+twice returns the same object, so structural equality is identity and all
+of them can be used freely as dict keys.  Every concept and record carries a
 precomputed structural sort key; that fixed total order is what makes
 judgement labels, rule choices and printed output deterministic across runs.
 A concept also keeps its negation normal form once `nnf` has computed it.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, total_ordering
 from operator import attrgetter
 from typing import Iterable
 
@@ -246,27 +246,14 @@ def disjuncts(c: Concept) -> list:
 # Axioms and assertions
 # --------------------------------------------------------------------------
 
-# Axiom records are frozen dataclasses rather than tuples so that equality
-# is class-aware.
+# Records - Tbox axioms, Abox assertions and Mbox axioms - are hash-consed
+# like concepts: one immutable object per class and field tuple, so equality
+# and hashing are by identity and run in C, and Equal(a, b) and
+# NotEqual(a, b), like Subsumption(C, D) and Equivalence(C, D), stay distinct
+# set members.  Each carries its sort key, computed once: for an assertion
+# the class rank, then its fields.
 
-@dataclass(frozen=True)
-class Subsumption:
-    lhs: Concept
-    rhs: Concept
-
-
-@dataclass(frozen=True)
-class Equivalence:
-    lhs: Concept
-    rhs: Concept
-
-
-# Assertion records are hash-consed like concepts: one immutable object per
-# class and field tuple, so equality and hashing are by identity and run in
-# C, and Equal(a, b) and NotEqual(a, b) stay distinct set members.  Each
-# carries its sort key, computed once: the class rank, then its fields.
-
-class _Assertion:
+class _Record:
     __slots__ = ("key",)
     _fields: tuple = ()
 
@@ -280,6 +267,7 @@ class _Assertion:
         return tuple(getattr(self, f) for f in self._fields)
 
     def __reduce__(self):
+        # pickle and copy rebuild through the intern table
         return type(self), self._values()
 
     def __repr__(self) -> str:
@@ -287,7 +275,7 @@ class _Assertion:
         return f"{type(self).__name__}({fields})"
 
 
-def _new_assertion(cls, table: dict, values: tuple, key: tuple):
+def _new_record(cls, table: dict, values: tuple, key: tuple):
     made = object.__new__(cls)
     for f, v in zip(cls._fields, values):
         object.__setattr__(made, f, v)
@@ -297,35 +285,64 @@ def _new_assertion(cls, table: dict, values: tuple, key: tuple):
         return table.setdefault(values, made)
 
 
+_subsumptions: dict = {}
+_equivalences: dict = {}
 _concept_assertions: dict = {}
 _role_assertions: dict = {}
 _equalities: dict = {}
 _inequalities: dict = {}
+_mbox_axioms: dict = {}
 
 
-class ConceptAssertion(_Assertion):
+class Subsumption(_Record):
+    """``lhs subclassof rhs``; its key is `tbox_axiom_key`'s."""
+
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __new__(cls, lhs: Concept, rhs: Concept):
+        k = (lhs, rhs)
+        ax = _subsumptions.get(k)
+        if ax is None:
+            ax = _new_record(cls, _subsumptions, k, (0, lhs.key, rhs.key))
+        return ax
+
+
+class Equivalence(_Record):
+    """``lhs equiv rhs``; its key is `tbox_axiom_key`'s."""
+
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __new__(cls, lhs: Concept, rhs: Concept):
+        k = (lhs, rhs)
+        ax = _equivalences.get(k)
+        if ax is None:
+            ax = _new_record(cls, _equivalences, k, (1, lhs.key, rhs.key))
+        return ax
+
+
+class ConceptAssertion(_Record):
     __slots__ = _fields = ("concept", "individual")
 
     def __new__(cls, concept: Concept, individual: str):
         k = (concept, individual)
         a = _concept_assertions.get(k)
         if a is None:
-            a = _new_assertion(cls, _concept_assertions, k, (0, concept.key, individual))
+            a = _new_record(cls, _concept_assertions, k, (0, concept.key, individual))
         return a
 
 
-class RoleAssertion(_Assertion):
+class RoleAssertion(_Record):
     __slots__ = _fields = ("role", "subject", "object")
 
     def __new__(cls, role: str, subject: str, object: str):
         k = (role, subject, object)
         a = _role_assertions.get(k)
         if a is None:
-            a = _new_assertion(cls, _role_assertions, k, (1,) + k)
+            a = _new_record(cls, _role_assertions, k, (1,) + k)
         return a
 
 
-class Equal(_Assertion):
+class Equal(_Record):
     """Individual equality.  Build with equal() so the pair is sorted."""
 
     __slots__ = _fields = ("left", "right")
@@ -334,11 +351,11 @@ class Equal(_Assertion):
         k = (left, right)
         a = _equalities.get(k)
         if a is None:
-            a = _new_assertion(cls, _equalities, k, (2,) + k)
+            a = _new_record(cls, _equalities, k, (2,) + k)
         return a
 
 
-class NotEqual(_Assertion):
+class NotEqual(_Record):
     """Individual inequality.  Build with not_equal() so the pair is sorted."""
 
     __slots__ = _fields = ("left", "right")
@@ -347,7 +364,7 @@ class NotEqual(_Assertion):
         k = (left, right)
         a = _inequalities.get(k)
         if a is None:
-            a = _new_assertion(cls, _inequalities, k, (3,) + k)
+            a = _new_record(cls, _inequalities, k, (3,) + k)
         return a
 
 
@@ -359,14 +376,30 @@ def not_equal(a: str, b: str) -> NotEqual:
     return NotEqual(a, b) if a <= b else NotEqual(b, a)
 
 
-@dataclass(frozen=True, order=True)
-class MboxAxiom:
-    individual: str
-    concept_name: str  # always an atomic concept name
+@total_ordering
+class MboxAxiom(_Record):
+    """``individual =m concept_name``, the name always an atomic concept's.
+    Mbox axioms order by their key, ``(individual, concept_name)``; one
+    object per key, so equal keys are the same object."""
+
+    __slots__ = _fields = ("individual", "concept_name")
+
+    def __new__(cls, individual: str, concept_name: str):
+        k = (individual, concept_name)
+        m = _mbox_axioms.get(k)
+        if m is None:
+            m = _new_record(cls, _mbox_axioms, k, k)
+        return m
+
+    def __lt__(self, other):
+        if type(other) is not MboxAxiom:
+            return NotImplemented
+        return self.key < other.key
 
 
 def tbox_axiom_key(ax: Subsumption | Equivalence):
-    return (0 if isinstance(ax, Subsumption) else 1, ax.lhs.key, ax.rhs.key)
+    """Subsumptions before equivalences, then by the two concepts' keys."""
+    return ax.key
 
 
 # The stored sort key of an assertion, or of a concept.

@@ -47,6 +47,17 @@ def tbox_chain_text(n: int) -> str:
     return f"tbox {{ {axioms} }}\nabox {{ A0(a); {others} }}\n"
 
 
+# KBs with several Mbox concept-name pairs, so neq makes several fresh
+# individuals in one label.
+MULTI_PAIR_TEXTS = (
+    "abox { C(c); not (A and (C or A))(g); }"
+    " mbox { a =m A; a =m E; b =m B; b =m D; c =m F; d =m B; g =m B; g =m C; }",
+    "tbox { B or B or A equiv forall R . (F or D); }"
+    " abox { not (A or C) and B(c); S(d, e); }"
+    " mbox { b =m E; d =m C; e =m F; f =m C; }",
+)
+
+
 # Random KBs with several Mbox axioms, so `eq`, `neq` and `close` meet
 # several concept-name pairs in one label: generator seed -> (Mbox axioms
 # at most, individuals, concept names).

@@ -6,9 +6,9 @@ the first 300.  A change to which nodes are built, in what order, or to
 which model is extracted must update them on purpose.
 
 Run as a script, it computes both digests once.  Then, for each seed given
-on the command line, it empties the assertion intern tables, re-interns
-every record they held in an order shuffled by that seed, and prints both
-digests again on one line.  Records hash by identity, so this moves every
+on the command line, it empties the record intern tables (assertions and
+axioms), re-interns every record they held in an order shuffled by that
+seed, and prints both digests again on one line.  Records hash by identity, so this moves every
 set of them into another order; the digests must not change.
 
     PYTHONPATH=src:tests python tests/digests.py SEED...
@@ -54,10 +54,11 @@ def model_digest():
 
 
 def reintern_shuffled(seed: int) -> list:
-    """Empty the assertion intern tables and intern what they held again, in
+    """Empty the record intern tables and intern what they held again, in
     shuffled order; the caller keeps the returned records alive."""
     tables = (syntax._concept_assertions, syntax._role_assertions,
-              syntax._equalities, syntax._inequalities)
+              syntax._equalities, syntax._inequalities, syntax._mbox_axioms,
+              syntax._subsumptions, syntax._equivalences)
     held = [(type(a), fields) for t in tables for fields, a in t.items()]
     for t in tables:
         t.clear()

@@ -5,13 +5,15 @@ scans each list on its own.  This is the direct reading of the strategy it
 must agree with: each class of rules walks the whole Abox again, and every
 candidate is tested against a per-individual concept index.  The tests
 compare the two on every label of their graphs.  Absorption is written out
-here too, as `reference_absorb`, apart from `engine.absorb`.
+here too, as `reference_absorb`, apart from `engine.absorb`, and membership
+cycles are found by `graph_checks.reference_circular`, apart from
+`engine.circular`.
 """
 
 from functools import reduce
 from typing import Dict, Tuple
 
-from alcm import engine, syntax
+from alcm import syntax
 from alcm.engine import (
     ABSURDITY,
     FRESH_PREFIX,
@@ -31,6 +33,8 @@ from alcm.syntax import (
     rename_abox,
     rename_mbox,
 )
+
+from graph_checks import reference_circular
 
 
 def _flat(c):
@@ -102,7 +106,7 @@ def reference_rule(j):
         if a.left == a.right:
             return RuleApplication("bot2", "or", (a,), j, (ABSURDITY,))
     if M:
-        cycle = engine.circular(A, M)
+        cycle = reference_circular(A, M)
         if cycle is not None:
             return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
 

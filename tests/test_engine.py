@@ -58,25 +58,16 @@ from alcm.syntax import (
 import digests
 from conftest import (
     HYDRO_INDIVIDUALS,
+    MULTI_PAIR_TEXTS,
     core_kb,
     multi_pair_corpus,
     tbox_chain_text,
     thrash_text,
 )
+from graph_checks import reference_circular, reference_marking
 from rule_reference import reference_absorb, reference_rule
 
 A, B, C, D, E = (atom(x) for x in "ABCDE")
-
-# KBs with several Mbox concept-name pairs, so neq makes several fresh
-# individuals in one label.
-MULTI_PAIR_TEXTS = (
-    "abox { C(c); not (A and (C or A))(g); }"
-    " mbox { a =m A; a =m E; b =m B; b =m D; c =m F; d =m B; g =m B; g =m C; }",
-    "tbox { B or B or A equiv forall R . (F or D); }"
-    " abox { not (A or C) and B(c); S(d, e); }"
-    " mbox { b =m E; d =m C; e =m F; f =m C; }",
-)
-
 
 def irrelevant_disjunctions(n: int) -> str:
     """n disjunctions that play no part in the clash of Z1 or Z2 with
@@ -279,6 +270,40 @@ class TestCircular:
     def test_hydro_is_acyclic(self, hydro_kb):
         root, _ = initialize_root(hydro_kb)
         assert circular(root.abox, root.mbox) is None
+
+    def test_no_edge_means_no_cycle(self):
+        mbox = {MboxAxiom("a", "A"), MboxAxiom("b", "B")}
+        # atoms of other concepts, on individuals outside the Mbox, and
+        # non-atomic concepts of Mbox concepts: none of them is an edge
+        abox = {ConceptAssertion(C, "a"), ConceptAssertion(A, "c"),
+                ConceptAssertion(neg(B), "b"), ConceptAssertion(conj(A, B), "a"),
+                not_equal("a", "b")}
+        assert circular(abox, mbox) is None
+        assert circular(abox, ()) is None
+        assert circular((), mbox) is None
+
+    def test_self_loop_is_a_cycle(self):
+        mbox = {MboxAxiom("a", "A"), MboxAxiom("b", "B")}
+        abox = {ConceptAssertion(A, "a"), ConceptAssertion(C, "b")}
+        assert circular(abox, mbox) == ["a"]
+
+    def test_cycles_of_the_slice_match_the_reference(self):
+        # every label with an Mbox in the first 300 seed-20240 graphs: the
+        # reference's cycle or None, and at a `bot3` node the cycle the
+        # rule names
+        labels = bot3 = 0
+        for kb in corpus(seed=20240, size=300):
+            g = check_consistency(kb).graph
+            for j, ra in zip(g.labels, g.rules):
+                if j is ABSURDITY or not j.mbox:
+                    continue
+                labels += 1
+                cycle = circular(j.abox, j.mbox)
+                assert cycle == reference_circular(j.abox, j.mbox)
+                if ra is not None and ra.rule == "bot3":
+                    bot3 += 1
+                    assert tuple(cycle) == ra.principal
+        assert labels > 1000 and bot3 >= 10
 
 
 def concepts_of(j) -> set:
@@ -697,6 +722,39 @@ class TestCheckConsistency:
     def test_trace_ends_with_verdict_line(self, hydro_kb):
         v = check_consistency(hydro_kb)
         assert format_trace(v.graph, v).endswith("verdict consistent\n")
+
+
+class TestMarking:
+    """The marking `consistent_marking` reads off the walk that decided the
+    KB against `graph_checks.reference_marking`, walked from the root."""
+
+    @staticmethod
+    def check_markings(kbs):
+        """(consistent verdicts, those whose build restarted its walk)."""
+        consistent = restarted = 0
+        for kb in kbs:
+            v = check_consistency(kb, node_budget=50_000)
+            if not v.consistent:
+                continue
+            ref = reference_marking(v.graph)
+            assert v.marking.nodes == ref.nodes
+            assert v.marking.choice == ref.choice
+            consistent += 1
+            # every unsat node, absurdity too, made its round walk again
+            # from the root; the verdict held, so it did restart
+            restarted += bool(v.graph.unsat)
+        return consistent, restarted
+
+    def test_first_300_corpus_kbs(self):
+        consistent, restarted = self.check_markings(corpus(seed=20240, size=300))
+        assert consistent == 221 and restarted >= 20
+
+    def test_held_out_corpus_seed(self):
+        consistent, restarted = self.check_markings(corpus(seed=7, size=300))
+        assert consistent >= 200 and restarted >= 20
+
+    def test_multi_pair_kbs(self):
+        assert self.check_markings([parse_kb(t) for t in MULTI_PAIR_TEXTS]) == (2, 2)
 
 
 @pytest.fixture(scope="module")

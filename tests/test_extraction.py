@@ -2,6 +2,7 @@
 
 import gc
 import time
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from alcm.semantics import (
 from alcm.syntax import (
     ConceptAssertion,
     MboxAxiom,
+    assertion_individuals,
     atom,
     conj,
     disj,
@@ -36,7 +38,8 @@ from alcm.syntax import (
 )
 
 import digests
-from graph_checks import is_acyclic, meta_order
+from conftest import MULTI_PAIR_TEXTS, multi_pair_corpus
+from graph_checks import is_acyclic, meta_order, reference_rgraph
 
 A, B = atom("A"), atom("B")
 
@@ -119,6 +122,69 @@ class TestBuildRGraph:
         assert rg.delta == ("d",)
         assert rg.edges["S"] == {("d", "d")}
         assert check_saturated(rg, terminal) == []
+
+
+def _only_in(terminal) -> dict:
+    """Individuals of a terminal label by the one kind of record that names
+    them, for those that occur in one kind only."""
+    kinds = {}
+    for a in terminal.abox:
+        t = type(a).__name__
+        for x in assertion_individuals(a):
+            kinds.setdefault(x, set()).add(t)
+    for m in terminal.mbox:
+        kinds.setdefault(m.individual, set()).add("MboxAxiom")
+    return {x: k.pop() for x, k in kinds.items() if len(k) == 1}
+
+
+class TestRGraphReference:
+    """`build_rgraph`'s one typed pass against `graph_checks.reference_rgraph`,
+    which lists the individuals first and labels them in a second pass."""
+
+    # an individual only in a role assertion, only in an inequality, only
+    # in the Mbox
+    TEXTS = ("abox { A(a); R(a, b); }",
+             "abox { A(a); a != b; }",
+             "abox { B(b); } mbox { a =m A; }",
+             "abox { (exists R . A)(a); S(a, c); a != d; } mbox { e =m B; }")
+
+    @staticmethod
+    def check_rgraphs(kbs) -> Counter:
+        seen = Counter()
+        for kb in kbs:
+            v = check_consistency(kb, node_budget=50_000)
+            if not v.consistent:
+                continue
+            rg, terminal, merges = build_rgraph(v.graph, v.marking)
+            ref_rg, ref_terminal, ref_merges = reference_rgraph(v.graph, v.marking)
+            assert rg.delta == ref_rg.delta
+            assert rg.labels == ref_rg.labels and list(rg.labels) == list(ref_rg.labels)
+            assert rg.edges == ref_rg.edges
+            assert terminal is ref_terminal and merges == ref_merges
+            seen["consistent"] += 1
+            seen["trans'"] += v.graph.kinds[v.graph.nodes[terminal]] == "and"
+            seen.update(_only_in(terminal).values())
+        return seen
+
+    def test_first_300_corpus_kbs(self):
+        seen = self.check_rgraphs(corpus(seed=20240, size=300))
+        assert seen["consistent"] == 221 and seen["trans'"] >= 20
+        assert min(seen[k] for k in ("RoleAssertion", "NotEqual", "MboxAxiom")) >= 10
+
+    def test_held_out_corpus_seed(self):
+        assert self.check_rgraphs(corpus(seed=7, size=300))["consistent"] >= 200
+
+    def test_multi_pair_kbs(self):
+        kbs = multi_pair_corpus(5, 100) + [parse_kb(t) for t in MULTI_PAIR_TEXTS]
+        assert self.check_rgraphs(kbs)["consistent"] >= 60
+
+    def test_worked_examples_and_lone_individuals(self, hydro_kb, example_graph_kb):
+        seen = self.check_rgraphs([hydro_kb, example_graph_kb]
+                                  + [parse_kb(t) for t in self.TEXTS])
+        assert seen["consistent"] == 6 and seen["trans'"] >= 2
+        assert seen["RoleAssertion"] >= 2
+        assert seen["NotEqual"] >= 2
+        assert seen["MboxAxiom"] >= 2
 
 
 class TestCheckSaturated:
@@ -300,6 +366,13 @@ class TestExtractModel:
 
     def test_inconsistent_kb_has_no_model(self, hydro_circular_kb):
         assert extract_model(hydro_circular_kb) is None
+
+    def test_a_name_known_only_through_equalities_gets_a_fresh_element(self):
+        kb = parse_kb("abox { a = b; C(c); }")
+        interp = extract_model(kb)
+        assert interp.individuals["a"] is interp.individuals["b"] is el_atom("a")
+        assert interp.domain == {el_atom("a"), el_atom("c")}
+        assert satisfies_kb(interp, kb)
 
     def test_initialization_merge_keeps_original_names_resolvable(self):
         kb = parse_kb("abox { a = b; C(b); }")

@@ -39,6 +39,7 @@ from alcm.syntax import (
     rename_abox,
     rename_mbox,
     subconcepts,
+    tbox_axiom_key,
     top,
 )
 
@@ -367,6 +368,12 @@ def reference_assertion_key(a):
     return (3, a.left, a.right)
 
 
+def reference_tbox_axiom_key(ax):
+    """The sort key of a Tbox axiom as it was computed before axioms stored
+    their own."""
+    return (0 if isinstance(ax, Subsumption) else 1, ax.lhs.key, ax.rhs.key)
+
+
 class TestRecords:
     def test_equal_fields_give_one_object(self):
         assert ConceptAssertion(conj(A, B), "a") is ConceptAssertion(conj(A, B), "a")
@@ -375,10 +382,26 @@ class TestRecords:
         assert NotEqual("a", "b") is not_equal("b", "a")
         assert Equal("a", "b") is not NotEqual("a", "b")
         assert RoleAssertion("R", "a", "b") is not RoleAssertion("R", "b", "a")
+        assert MboxAxiom("a", "A") is MboxAxiom("a", "A")
+        assert MboxAxiom("a", "A") is not MboxAxiom("A", "a")
+        assert Subsumption(conj(A, B), C) is Subsumption(conj(A, B), C)
+        assert Equivalence(A, B) is Equivalence(A, B)
+        assert Equivalence(A, B) is not Equivalence(B, A)
+        assert Subsumption(A, B) is not Equivalence(A, B)
+
+    def test_axioms_keep_their_fields_and_reprs(self):
+        m, s = MboxAxiom("a", "A"), Subsumption(A, neg(B))
+        assert (m.individual, m.concept_name) == ("a", "A")
+        assert (s.lhs, s.rhs) == (A, neg(B))
+        assert repr(m) == "MboxAxiom(individual='a', concept_name='A')"
+        assert repr(Equivalence(A, B)) == f"Equivalence(lhs={A!r}, rhs={B!r})"
+        assert tbox_axiom_key(s) == reference_tbox_axiom_key(s) == s.key
 
     @pytest.mark.parametrize("record, field", [
         (ConceptAssertion(A, "a"), "individual"), (RoleAssertion("R", "a", "b"), "role"),
-        (Equal("a", "b"), "left"), (NotEqual("a", "b"), "right")])
+        (Equal("a", "b"), "left"), (NotEqual("a", "b"), "right"),
+        (MboxAxiom("a", "A"), "concept_name"), (Subsumption(A, B), "lhs"),
+        (Equivalence(A, B), "rhs")])
     def test_fields_cannot_be_set(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, "z")
@@ -399,10 +422,29 @@ class TestRecords:
                 assert list(j.abox) == sorted(j.abox, key=reference_assertion_key)
         assert labels > 3000
 
+    def test_mbox_and_tbox_orders_are_the_field_orders(self):
+        # sorted Mbox axioms come in (individual, concept_name) order, as
+        # they did when they compared as field tuples, and Tbox axioms sort
+        # by the key they were sorted by before they stored it
+        mboxes = tboxes = 0
+        for kb in corpus(seed=20240, size=300):
+            for mbox in [kb.mbox] + [j.mbox for j in check_consistency(kb).graph.labels
+                                     if j is not ABSURDITY]:
+                mboxes += len(mbox) > 1
+                assert sorted(mbox) == sorted(
+                    mbox, key=lambda m: (m.individual, m.concept_name))
+            tboxes += len(kb.tbox) > 1
+            assert sorted(kb.tbox, key=tbox_axiom_key) == sorted(
+                kb.tbox, key=reference_tbox_axiom_key)
+        assert mboxes > 500 and tboxes > 50
+        a, b = MboxAxiom("a", "B"), MboxAxiom("b", "A")
+        assert a < b and a <= b and b > a and b >= a and a <= a and not a < a
+
     def test_copies_are_the_interned_objects(self):
         c = conj(A, exists("R", neg(B)))
         for x in (c, ConceptAssertion(c, "a"), RoleAssertion("R", "a", "b"),
-                  Equal("a", "b"), NotEqual("a", "b")):
+                  Equal("a", "b"), NotEqual("a", "b"), MboxAxiom("a", "A"),
+                  Subsumption(c, B), Equivalence(B, c)):
             assert pickle.loads(pickle.dumps(x)) is x
             assert copy.copy(x) is x
             assert copy.deepcopy(x) is x
@@ -424,7 +466,8 @@ class TestRecords:
             for k in (range(n_keys) if i % 2 else reversed(range(n_keys))):
                 x = f"{tag}{k}"
                 out.append((k, ConceptAssertion(conj(atom(x), B), x), RoleAssertion("R", x, "z"),
-                            Equal(x, "z"), NotEqual(x, "z")))
+                            Equal(x, "z"), NotEqual(x, "z"), MboxAxiom(x, "Z"),
+                            Subsumption(atom(x), B), Equivalence(B, atom(x))))
             made[i] = sorted(out, key=lambda t: t[0])
 
         old = sys.getswitchinterval()
