@@ -43,7 +43,6 @@ from .syntax import (
     Equal,
     KnowledgeBase,
     RoleAssertion,
-    abox_individuals,
     assertion_key,
     assertion_to_str,
     atom,
@@ -359,7 +358,7 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
             An, Bn = concept_of[a.left], concept_of[a.right]
             w = difference_witness(An, Bn)
             if not any(b.concept is w for b in ors):
-                nfresh = sum(1 for n in abox_individuals(A) if n.startswith(FRESH_PREFIX))
+                nfresh = sum(1 for n in by_ind if n.startswith(FRESH_PREFIX))
                 d0 = f"{FRESH_PREFIX}{nfresh}"
                 adds = (ConceptAssertion(w, d0),) + tuple(ConceptAssertion(c, d0)
                                                           for c in general)
@@ -572,10 +571,10 @@ def initialize_root(kb: KnowledgeBase):
 def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> AndOrGraph:
     """Grow the and-or graph on demand until the root's status is known.
 
-    Only the candidate marking is expanded: the walk of `consistent_marking`
-    from the root, which takes the least child not known unsat at an
-    or-node and every child of an and-node.  Each round expands, least id
-    first, the unexpanded nodes that walk reaches, and unsat status is
+    Only the candidate marking is expanded: the marking walk (`_walk`) from
+    the root, which takes the least child not known unsat at an or-node and
+    every child of an and-node.  Each round expands, least id first, the
+    unexpanded nodes that walk reaches, and unsat status is
     propagated to parents as soon as it changes (see `_refuted`): absurdity
     is unsat, an and-node with one unsat child is, and so is an or-node
     whose children all are, or one child of which has a core inside the

@@ -47,7 +47,6 @@ from .syntax import (
     mbox_axiom_to_str,
     neg,
     not_equal,
-    tbox_axiom_key,
     tbox_axiom_to_str,
     top,
 )
@@ -322,7 +321,7 @@ def print_kb(kb: KnowledgeBase) -> str:
     """Canonical pretty-print; parse_kb(print_kb(kb)) == kb."""
     parts = []
     parts.append(_section("tbox", [tbox_axiom_to_str(ax)
-                                   for ax in sorted(kb.tbox, key=tbox_axiom_key)]))
+                                   for ax in sorted(kb.tbox, key=assertion_key)]))
     parts.append(_section("abox", [assertion_to_str(a)
                                    for a in sorted(kb.abox, key=assertion_key)]))
     parts.append(_section("mbox", [mbox_axiom_to_str(m)

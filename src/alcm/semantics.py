@@ -23,7 +23,6 @@ from .syntax import (
     RoleAssertion,
     Subsumption,
     assertion_key,
-    tbox_axiom_key,
 )
 
 E_ATOM, E_SET = 0, 1
@@ -149,7 +148,7 @@ def find_violation(interp: Interpretation, kb: KnowledgeBase):
     Tbox, Abox).  Raises KeyError when an assertion mentions an individual
     the interpretation does not map.
     """
-    for axioms in (sorted(kb.mbox), sorted(kb.tbox, key=tbox_axiom_key),
+    for axioms in (sorted(kb.mbox), sorted(kb.tbox, key=assertion_key),
                    sorted(kb.abox, key=assertion_key)):
         for ax in axioms:
             if not holds(interp, ax):

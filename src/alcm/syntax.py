@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import partial, total_ordering
+from functools import partial
 from operator import attrgetter
 from typing import Iterable
 
@@ -250,12 +250,28 @@ def disjuncts(c: Concept) -> list:
 # like concepts: one immutable object per class and field tuple, so equality
 # and hashing are by identity and run in C, and Equal(a, b) and
 # NotEqual(a, b), like Subsumption(C, D) and Equivalence(C, D), stay distinct
-# set members.  Each carries its sort key, computed once: for an assertion
-# the class rank, then its fields.
+# set members.  A record class declares its ``_fields`` and, to sort apart
+# from the other classes of its kind, a ``_rank``; defining it gives it its
+# own intern table and constructor.  Each record carries its sort key,
+# computed once: the rank, if any, then the fields, a concept by its key.
 
 class _Record:
     __slots__ = ("key",)
     _fields: tuple = ()
+    _rank = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        table = cls._table = {}
+        get = table.get  # bound here: a hit looks nothing up on the class
+
+        def __new__(cls, *values):
+            r = get(values)
+            if r is None:
+                r = _new_record(cls, table, values)
+            return r
+
+        cls.__new__ = __new__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -275,97 +291,63 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
-def _new_record(cls, table: dict, values: tuple, key: tuple):
-    made = object.__new__(cls)
-    for f, v in zip(cls._fields, values):
-        object.__setattr__(made, f, v)
-    object.__setattr__(made, "key", key)
+# Bound once: every record is built here, most of them while a KB is read.
+_new_object = object.__new__
+_setattr = object.__setattr__
+
+
+def _new_record(cls, table: dict, values: tuple):
+    fields = cls._fields
+    if len(values) != len(fields):
+        raise TypeError(f"{cls.__name__} takes {len(fields)} fields "
+                        f"({', '.join(fields)}), got {len(values)}")
+    made = _new_object(cls)
+    key = [] if cls._rank is None else [cls._rank]
+    for f, v in zip(fields, values):
+        _setattr(made, f, v)
+        key.append(v.key if type(v) is Concept else v)
+    _setattr(made, "key", tuple(key))
     # Concurrent reads are lock-free; inserts are serialized.
     with _table_lock:
         return table.setdefault(values, made)
 
 
-_subsumptions: dict = {}
-_equivalences: dict = {}
-_concept_assertions: dict = {}
-_role_assertions: dict = {}
-_equalities: dict = {}
-_inequalities: dict = {}
-_mbox_axioms: dict = {}
-
-
 class Subsumption(_Record):
-    """``lhs subclassof rhs``; its key is `tbox_axiom_key`'s."""
+    """``lhs subclassof rhs``."""
 
     __slots__ = _fields = ("lhs", "rhs")
-
-    def __new__(cls, lhs: Concept, rhs: Concept):
-        k = (lhs, rhs)
-        ax = _subsumptions.get(k)
-        if ax is None:
-            ax = _new_record(cls, _subsumptions, k, (0, lhs.key, rhs.key))
-        return ax
+    _rank = 0
 
 
 class Equivalence(_Record):
-    """``lhs equiv rhs``; its key is `tbox_axiom_key`'s."""
+    """``lhs equiv rhs``."""
 
     __slots__ = _fields = ("lhs", "rhs")
-
-    def __new__(cls, lhs: Concept, rhs: Concept):
-        k = (lhs, rhs)
-        ax = _equivalences.get(k)
-        if ax is None:
-            ax = _new_record(cls, _equivalences, k, (1, lhs.key, rhs.key))
-        return ax
+    _rank = 1
 
 
 class ConceptAssertion(_Record):
     __slots__ = _fields = ("concept", "individual")
-
-    def __new__(cls, concept: Concept, individual: str):
-        k = (concept, individual)
-        a = _concept_assertions.get(k)
-        if a is None:
-            a = _new_record(cls, _concept_assertions, k, (0, concept.key, individual))
-        return a
+    _rank = 0
 
 
 class RoleAssertion(_Record):
     __slots__ = _fields = ("role", "subject", "object")
-
-    def __new__(cls, role: str, subject: str, object: str):
-        k = (role, subject, object)
-        a = _role_assertions.get(k)
-        if a is None:
-            a = _new_record(cls, _role_assertions, k, (1,) + k)
-        return a
+    _rank = 1
 
 
 class Equal(_Record):
     """Individual equality.  Build with equal() so the pair is sorted."""
 
     __slots__ = _fields = ("left", "right")
-
-    def __new__(cls, left: str, right: str):
-        k = (left, right)
-        a = _equalities.get(k)
-        if a is None:
-            a = _new_record(cls, _equalities, k, (2,) + k)
-        return a
+    _rank = 2
 
 
 class NotEqual(_Record):
     """Individual inequality.  Build with not_equal() so the pair is sorted."""
 
     __slots__ = _fields = ("left", "right")
-
-    def __new__(cls, left: str, right: str):
-        k = (left, right)
-        a = _inequalities.get(k)
-        if a is None:
-            a = _new_record(cls, _inequalities, k, (3,) + k)
-        return a
+    _rank = 3
 
 
 def equal(a: str, b: str) -> Equal:
@@ -376,7 +358,6 @@ def not_equal(a: str, b: str) -> NotEqual:
     return NotEqual(a, b) if a <= b else NotEqual(b, a)
 
 
-@total_ordering
 class MboxAxiom(_Record):
     """``individual =m concept_name``, the name always an atomic concept's.
     Mbox axioms order by their key, ``(individual, concept_name)``; one
@@ -384,25 +365,13 @@ class MboxAxiom(_Record):
 
     __slots__ = _fields = ("individual", "concept_name")
 
-    def __new__(cls, individual: str, concept_name: str):
-        k = (individual, concept_name)
-        m = _mbox_axioms.get(k)
-        if m is None:
-            m = _new_record(cls, _mbox_axioms, k, k)
-        return m
-
     def __lt__(self, other):
         if type(other) is not MboxAxiom:
             return NotImplemented
         return self.key < other.key
 
 
-def tbox_axiom_key(ax: Subsumption | Equivalence):
-    """Subsumptions before equivalences, then by the two concepts' keys."""
-    return ax.key
-
-
-# The stored sort key of an assertion, or of a concept.
+# The stored sort key of a record, or of a concept.
 assertion_key = attrgetter("key")
 
 
@@ -481,16 +450,6 @@ def nnf_tbox(tbox: Iterable[Subsumption | Equivalence]) -> frozenset:
         out.add(nnf(disj(neg(ax.lhs), ax.rhs)))
         if isinstance(ax, Equivalence):
             out.add(nnf(disj(neg(ax.rhs), ax.lhs)))
-    return frozenset(out)
-
-
-def nnf_abox(abox: Iterable[ConceptAssertion | RoleAssertion | Equal | NotEqual]) -> frozenset:
-    out = set()
-    for a in abox:
-        if isinstance(a, ConceptAssertion):
-            out.add(ConceptAssertion(nnf(a.concept), a.individual))
-        else:
-            out.add(a)
     return frozenset(out)
 
 

@@ -56,9 +56,7 @@ def model_digest():
 def reintern_shuffled(seed: int) -> list:
     """Empty the record intern tables and intern what they held again, in
     shuffled order; the caller keeps the returned records alive."""
-    tables = (syntax._concept_assertions, syntax._role_assertions,
-              syntax._equalities, syntax._inequalities, syntax._mbox_axioms,
-              syntax._subsumptions, syntax._equivalences)
+    tables = [cls._table for cls in syntax._Record.__subclasses__()]
     held = [(type(a), fields) for t in tables for fields, a in t.items()]
     for t in tables:
         t.clear()

@@ -48,7 +48,7 @@ from alcm.syntax import (
     exists,
     forall,
     neg,
-    nnf_abox,
+    nnf,
     nnf_tbox,
     not_equal,
     rename_abox,
@@ -214,7 +214,8 @@ def root_by_composition(kb):
     of Abox and Mbox, the general Tbox concepts of `reference_absorb` on
     every representative, then `make_base`."""
     tbox_c = nnf_tbox(kb.tbox)
-    abox_n = nnf_abox(kb.abox)
+    abox_n = {ConceptAssertion(nnf(a.concept), a.individual)
+              if isinstance(a, ConceptAssertion) else a for a in kb.abox}
     names = sorted(abox_individuals(abox_n) | kb.mbox_dom())
     parent = {n: n for n in names}
 
