@@ -233,9 +233,10 @@ def circular(abox, mbox):
     Nodes are the Mbox individuals; there is an edge a -> b whenever B(a) is
     asserted and b corresponds to B.  Returns the cycle or None.  A cycle
     needs an edge, so when no atom of an Mbox concept sits on an Mbox
-    individual this returns None before it builds the graph; the rule
-    selection and the extraction checks all call it without a test of
-    their own.
+    individual this returns None before it builds the graph; the
+    extraction checks call it without a test of their own.  Rule selection
+    tests for an edge first, from its label's `_mbox_facts`, and calls this
+    only when there is one.
     """
     by_concept: Dict[str, List[str]] = {}
     for m in mbox:
@@ -258,6 +259,27 @@ def difference_witness(a_name: str, b_name: str) -> Concept:
     ``(A and not B) or (not A and B)``, in the order the names are given."""
     A, B = atom(a_name), atom(b_name)
     return disj(conj(A, neg(B)), conj(neg(A), B))
+
+
+@lru_cache(maxsize=256)
+def _mbox_facts(mbox: tuple):
+    """What rule selection reads off a label's sorted Mbox: a dict that maps
+    each Mbox individual to the concept name of its first axiom, a dict
+    that maps each Mbox concept name to its individuals, and the first two
+    adjacent axioms on one individual, or None.
+
+    The result is shared by every label with an equal Mbox, so it must not
+    be mutated.
+    """
+    concept_of: Dict[str, str] = {}
+    members: Dict[str, List[str]] = {}
+    for m in mbox:
+        concept_of.setdefault(m.individual, m.concept_name)
+        members.setdefault(m.concept_name, []).append(m.individual)
+    # the Mbox is sorted, so an individual's axioms are adjacent
+    pair = next(((keep, drop) for keep, drop in zip(mbox, mbox[1:])
+                 if keep.individual == drop.individual), None)
+    return concept_of, members, pair
 
 
 def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
@@ -312,13 +334,16 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
     for a in neqs:
         if a.left == a.right:
             return RuleApplication("bot2", "or", (a,), j, (ABSURDITY,))
-    concept_of = {}
+    concept_of, eq_pair = {}, None
     if M:  # a role successor has no Mbox, hence no membership cycle
-        for m in M:
-            concept_of.setdefault(m.individual, m.concept_name)
-        cycle = circular(atoms, M)
-        if cycle is not None:
-            return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
+        concept_of, members, eq_pair = _mbox_facts(M)
+        # a cycle needs an edge: an atom of an Mbox concept on an Mbox individual
+        for a in atoms:
+            if a.individual in concept_of and a.concept.name in members:
+                cycle = circular(atoms, M)
+                if cycle is not None:
+                    return RuleApplication("bot3", "or", tuple(cycle), j, (ABSURDITY,))
+                break
 
     # Unary static rules.
     for a in ands:
@@ -346,13 +371,12 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
                 if adds:
                     return RuleApplication("unfold", "or", (a,), j, (_extend(j, adds),),
                                            (adds,))
-    # the Mbox is sorted, so an individual's axioms are adjacent
-    for keep, drop in zip(M, M[1:]):
-        if keep.individual == drop.individual:
-            An, Bn = keep.concept_name, drop.concept_name
-            tb_add = {disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An)))}
-            concl = make_base(set(T) | tb_add, A, set(M) - {drop})
-            return RuleApplication("eq", "or", (keep.individual, An, Bn), j, (concl,))
+    if eq_pair is not None:
+        keep, drop = eq_pair
+        An, Bn = keep.concept_name, drop.concept_name
+        tb_add = {disj(atom(An), neg(atom(Bn))), disj(atom(Bn), neg(atom(An)))}
+        concl = make_base(set(T) | tb_add, A, set(M) - {drop})
+        return RuleApplication("eq", "or", (keep.individual, An, Bn), j, (concl,))
     for a in neqs:
         if a.left in concept_of and a.right in concept_of:
             An, Bn = concept_of[a.left], concept_of[a.right]
@@ -571,10 +595,10 @@ def initialize_root(kb: KnowledgeBase):
 def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> AndOrGraph:
     """Grow the and-or graph on demand until the root's status is known.
 
-    Only the candidate marking is expanded: the marking walk (`_walk`) from
-    the root, which takes the least child not known unsat at an or-node and
-    every child of an and-node.  Each round expands, least id first, the
-    unexpanded nodes that walk reaches, and unsat status is
+    Only the candidate marking is expanded: the marking walk from the root,
+    which takes the least child not known unsat at an or-node and every
+    child of an and-node.  Each round walks, then expands, least id first,
+    the unexpanded nodes that walk reached, and unsat status is
     propagated to parents as soon as it changes (see `_refuted`): absurdity
     is unsat, an and-node with one unsat child is, and so is an or-node
     whose children all are, or one child of which has a core inside the
@@ -599,81 +623,94 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     """
     g = AndOrGraph(*initialize_root(kb))
     nodes, labels, kinds, unsat = g.nodes, g.labels, g.kinds, g.unsat
-    edges_of, rules, kids = g.edges, g.rules, g.child_ids
+    edges_of, rules, kids, cores, core_child = (g.edges, g.rules, g.child_ids, g.cores,
+                                                g.core_child)
     parents: List[List[int]] = [[]]
-
-    def settle(v):
-        """Refute v if it is unsat now, then every ancestor that dies with it."""
-        queue = [v]
-        for u in queue:  # the queue grows as it is read: breadth first
-            death = None if u in unsat else _refuted(g, u)
-            if death is None:
-                continue
-            core, by = death
-            unsat[u] = len(unsat)
-            g.cores[u] = core
-            if by is not None:
-                g.core_child[u] = by
-            queue += parents[u]
-
-    def expand(v):
-        ra = applicable_rule(labels[v])
-        if ra is None:
-            kinds[v] = "end"
-            return
-        rules[v] = ra
-        kinds[v] = "and" if ra.connective == "and" else "or"
-        edges = edges_of[v]
-        for concl in ra.conclusions:
-            cid = nodes.get(concl)
-            if cid is None:  # a new node, open unless it is absurdity
-                cid = len(labels)
-                if cid >= node_budget:
-                    raise BudgetExceededError(
-                        f"node budget ({node_budget}) exhausted")
-                nodes[concl] = cid
-                labels.append(concl)
-                edges_of.append([])
-                rules.append(None)
-                kids.append(())
-                parents.append([])
-                if concl is ABSURDITY:
-                    kinds.append("bot")
-                    unsat[cid] = len(unsat)
-                else:
-                    kinds.append("open")
-            edges.append(cid)
-        kids[v] = ks = tuple(edges) if len(edges) == 1 else tuple(dict.fromkeys(edges))
-        dead = False
-        for c in ks:
-            parents[c].append(v)
-            dead = dead or c in unsat
-        if dead:  # with no unsat child, v cannot be refuted yet
-            settle(v)
-
     marked, choice = g.walk
-    starts = [g.root]
+    stack = [g.root]
     while True:
-        frontier = sorted([v for v in _walk(g, marked, choice, starts)
-                           if kinds[v] == "open"])
+        # the marking walk: mark what the stack reaches, collect its open nodes
+        frontier = []
+        while stack:
+            v = stack.pop()
+            if v in marked:
+                continue
+            marked.add(v)
+            kind = kinds[v]
+            if kind == "or":  # the least child not known unsat
+                least = None
+                for c in kids[v]:
+                    if c not in unsat and (least is None or c < least):
+                        least = c
+                choice[v] = least
+                stack.append(least)
+            elif kind == "and":
+                stack.extend(kids[v])
+            elif kind == "open":
+                frontier.append(v)
         if not frontier:
             break
+        if len(frontier) > 1:
+            frontier.sort()
         before = len(unsat)
         for v in frontier:
-            expand(v)
+            ra = applicable_rule(labels[v])
+            if ra is None:
+                kinds[v] = "end"
+                continue
+            rules[v] = ra
+            kinds[v] = "and" if ra.connective == "and" else "or"
+            edges = edges_of[v]
+            for concl in ra.conclusions:
+                cid = nodes.get(concl)
+                if cid is None:  # a new node, open unless it is absurdity
+                    cid = len(labels)
+                    if cid >= node_budget:
+                        raise BudgetExceededError(
+                            f"node budget ({node_budget}) exhausted")
+                    nodes[concl] = cid
+                    labels.append(concl)
+                    edges_of.append([])
+                    rules.append(None)
+                    kids.append(())
+                    parents.append([])
+                    if concl is ABSURDITY:
+                        kinds.append("bot")
+                        unsat[cid] = len(unsat)
+                    else:
+                        kinds.append("open")
+                edges.append(cid)
+            kids[v] = ks = tuple(edges) if len(edges) == 1 else tuple(dict.fromkeys(edges))
+            dead = False
+            for c in ks:
+                parents[c].append(v)
+                dead = dead or c in unsat
+            if not dead:  # with no unsat child, v cannot be refuted yet
+                continue
+            # refute v if it is unsat now, then every ancestor that dies with it
+            queue = [v]
+            for u in queue:  # the queue grows as it is read: breadth first
+                death = None if u in unsat else _refuted(g, u)
+                if death is None:
+                    continue
+                unsat[u] = len(unsat)
+                cores[u], by = death
+                if by is not None:
+                    core_child[u] = by
+                queue += parents[u]
             if len(unsat) != before:
                 break  # the walk may now take other children: walk again
         if len(unsat) == before:
             # every choice stands: walk on from the nodes just expanded,
             # which were open, so none of them has a choice yet
             marked.difference_update(frontier)
-            starts = frontier
+            stack = frontier
         elif g.root in unsat:
             break
         else:
             marked.clear()
             choice.clear()
-            starts = [g.root]
+            stack = [g.root]
     return g
 
 
@@ -805,37 +842,6 @@ class Marking:
 
     nodes: frozenset
     choice: Dict[int, int]
-
-
-def _least_live_child(g: AndOrGraph, v: int) -> int:
-    """The least child of or-node ``v`` that is not in ``g.unsat``."""
-    unsat = g.unsat
-    least = None
-    for c in g.child_ids[v]:
-        if c not in unsat and (least is None or c < least):
-            least = c
-    return least
-
-
-def _walk(g: AndOrGraph, marked: set, choice: Dict[int, int], starts) -> list:
-    """Add to ``marked`` the nodes the marking walk reaches from ``starts``
-    (`_least_live_child` of an or-node, recorded in ``choice``, and every
-    child of an and-node) and return the ones it newly marks."""
-    kinds, kids = g.kinds, g.child_ids
-    new = []
-    stack = list(starts)
-    while stack:
-        v = stack.pop()
-        if v in marked:
-            continue
-        marked.add(v)
-        new.append(v)
-        if kinds[v] == "or":
-            c = choice[v] = _least_live_child(g, v)
-            stack.append(c)
-        elif kinds[v] == "and":
-            stack.extend(kids[v])
-    return new
 
 
 def consistent_marking(g: AndOrGraph) -> Marking:

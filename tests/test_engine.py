@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from alcm import oracle, syntax
+from alcm import engine, oracle, syntax
 from alcm.digraph import find_cycle
 from alcm.engine import (
     ABSURDITY,
@@ -306,6 +306,30 @@ class TestCircular:
                     assert tuple(cycle) == ra.principal
         assert labels > 1000 and bot3 >= 10
 
+    def test_rule_selection_calls_it_only_on_an_edge(self, monkeypatch):
+        # rule selection reads the Mbox individuals and concepts off its
+        # cached Mbox facts and calls `circular` only when an atom of an
+        # Mbox concept sits on an Mbox individual; the slice still takes
+        # every one of its 36 `bot3` steps
+        calls = []
+
+        def spy(abox, mbox):
+            calls.append((abox, mbox))
+            return circular(abox, mbox)
+
+        monkeypatch.setattr(engine, "circular", spy)
+        bot3 = 0
+        for kb in corpus(seed=20240, size=300):
+            g = check_consistency(kb).graph
+            bot3 += sum(1 for ra in g.rules if ra is not None and ra.rule == "bot3")
+        assert bot3 == 36 and len(calls) >= bot3
+        for abox, mbox in calls:
+            mdom = {m.individual for m in mbox}
+            names = {m.concept_name for m in mbox}
+            assert any(type(a) is ConceptAssertion and a.concept.tag == syntax.ATOM
+                       and a.individual in mdom and a.concept.name in names
+                       for a in abox)
+
 
 def concepts_of(j) -> set:
     """The concept set of a role successor's label."""
@@ -442,6 +466,19 @@ class TestBuildGraph:
     def test_budget_exhaustion_is_an_error_not_a_verdict(self, hydro_kb):
         with pytest.raises(BudgetExceededError):
             build_graph(hydro_kb, node_budget=10)
+
+    def test_an_exact_budget_rebuilds_the_graph(self, hydro_kb):
+        # the budget counts the nodes built: a budget of as many nodes as a
+        # graph has builds it again, node for node, and one fewer runs out
+        for kb in [hydro_kb] + corpus(seed=20240, size=300):
+            v = check_consistency(kb)
+            n = len(v.graph.labels)
+            again = check_consistency(kb, node_budget=n)
+            assert again.graph == v.graph
+            assert format_trace(again.graph, again) == format_trace(v.graph, v)
+            if n > 1:  # the root is built before the budget is read
+                with pytest.raises(BudgetExceededError):
+                    build_graph(kb, node_budget=n - 1)
 
     def test_satisfiable_left_disjunct_leaves_the_right_unexpanded(self):
         g = build_graph(parse_kb("abox { (A or B)(a); }"))

@@ -7,7 +7,7 @@ are compiler directives, not names.
 
 A private name is a module-level `_`-prefixed function, class or variable
 (dunders such as `__all__` excepted).  It counts as read when any module
-under src/ loads it as a name or an attribute (``engine._walk``), or
+under src/ loads it as a name or an attribute (``engine._refuted``), or
 imports it by name.  Tests do not count: code only they reach is dead.
 
 The oracle, the yardstick the engine is measured and refereed against,
