@@ -18,10 +18,13 @@ with characters that pass `str.isalnum` or are "_"; "#" starts a line
 comment.  Concept, role and individual namespaces are told apart by
 syntactic position only.
 
-One compiled regex scans the text into two flat lists, token kinds and
-token texts, and the recursive descent indexes them directly.  A keyword's
-kind is the keyword itself, so a name test is one comparison.  A token's
-offset, line and column are worked out only when an error is raised.
+One compiled regex scans the text into one flat list of token texts, with
+no second pass over the tokens, and the recursive descent indexes that list
+directly.  A keyword or punctuation token is its own kind and a name is
+any other token, so a keyword test is one comparison and a name test one
+set lookup.  The scan also finds every invalid character before the descent
+starts.  A token's offset, line and column are worked out only when an
+error is raised.
 """
 
 from __future__ import annotations
@@ -72,124 +75,163 @@ class ParseError(Exception):
         super().__init__(f"{origin}:{line}:{column}: {message}{tail}")
 
 
-# One match per token: blanks and comments, then a run of name characters
-# (its first character is checked on its own), punctuation, any other
-# character, or the empty string at the end of the text.  "=m" is the mbox
-# operator only when the m does not start a name.  `\w` is exactly the
-# characters that pass `str.isalnum`, plus "_".
-_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*(\w+|!=|=m(?!\w)|[={}();.,]|.|\Z)", re.DOTALL)
+# One match per token: blanks, then punctuation, a name, a comment or any
+# other character.  A name starts with a character of `\w` that is neither a
+# digit nor "_" (an ASCII letter is tried first, as the cheaper test), so in
+# ASCII text every name start is a letter; an invalid character falls
+# outside the group, and findall gives it as "".  "=m" is the mbox operator
+# only when the m does not start a name.  `\w` is exactly the characters
+# that pass `str.isalnum`, plus "_".  Blanks at the end of the text match
+# nothing, and the end of input is appended after the scan.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:([(){};.,]|[a-zA-Z]\w*|=m(?!\w)|=|!=|[^\W\d_]\w*|#[^\n]*)"
+                    r"|[^ \t\r\n])")
 
-# Token text -> kind, for every token that is not a name: punctuation and
-# keywords are their own kind, and the empty string is the end of input.
-_KINDS = {s: s for s in ("!=", "=m", "=", "{", "}", "(", ")", ";", ".", ",", *KEYWORDS)}
-_KINDS[""] = "eof"
+# Punctuation, and "", which marks the end of input; a token that is not
+# one of these is a word, a name or a keyword.
+_PUNCTUATION = frozenset({"!=", "=m", "=", "{", "}", "(", ")", ";", ".", ",", ""})
 
-# The kinds a name token can have: "ident", or the keyword itself.
-_WORDS = KEYWORDS | {"ident"}
+# Every token that is not a name.
+_SYMBOLS = _PUNCTUATION | KEYWORDS
 
 
-def _scan(text: str, origin: str):
-    """The tokens of ``text`` as two parallel lists: kinds and texts.
+def _scan(text: str, origin: str) -> list:
+    """The tokens of ``text``, each as its text.
 
-    A kind is "ident", a keyword, a punctuation string or "eof".  Four more
-    "eof" entries end the lists, so the parser may look up to three tokens
-    past the one it is at without a bounds check.
+    Four "" entries end the list, which mark the end of input; so the parser
+    may look up to three tokens past one that is not the end without a
+    bounds check.  Every character is checked here, before the descent
+    reads any token.
     """
-    texts = _TOKEN.findall(text)
-    kinds = [_KINDS.get(s) or ("ident" if s[0].isalpha() else None) for s in texts]
-    if None in kinds:
-        i = kinds.index(None)
-        raise _error(text, origin, i, f"unexpected character {texts[i][0]!r}")
-    kinds += ("eof",) * 4
-    texts += ("",) * 4
-    return kinds, texts
+    toks = _TOKEN.findall(text)
+    if "#" in text:
+        toks = [s for s in toks if s[:1] != "#"]
+    # In ASCII text an invalid character is the only "" token; elsewhere a
+    # name may also start with a character of `\w` that is not a letter.
+    if "" in toks or not text.isascii():
+        bad = next((i for i, s in enumerate(toks)
+                    if not s or not (s[0].isalpha() or s in _SYMBOLS)), None)
+        if bad is not None:
+            off = _offset(text, bad)
+            raise _error(text, origin, off, f"unexpected character {text[off]!r}")
+    toks += ("",) * 4
+    return toks
 
 
-def _error(text: str, origin: str, i: int, message: str, expected: str = "") -> ParseError:
-    """A ParseError at token ``i`` of ``text``.  Only errors need a
-    position, so the text is scanned again here for the token's offset."""
-    ms = list(_TOKEN.finditer(text))
-    if i < len(ms) and ms[i].group(1):
-        off = ms[i].start(1)
-    else:
-        # end of input, which sits where a comment running to the end starts
-        off = text.find("#", text.rfind("\n") + 1)
-        if off < 0:
-            off = len(text)
+def _offset(text: str, i: int) -> int:
+    """The offset of token ``i`` of ``text``.  Only errors need a position,
+    so the text is scanned again here."""
+    for m in _TOKEN.finditer(text):
+        s = m[1]
+        if s is None:
+            if not i:
+                return m.end() - 1
+        elif s[0] == "#":
+            continue
+        elif not i:
+            return m.start(1)
+        i -= 1
+    # end of input, which sits where a comment running to the end starts
+    off = text.find("#", text.rfind("\n") + 1)
+    return off if off >= 0 else len(text)
+
+
+def _error(text: str, origin: str, off: int, message: str, expected: str = "") -> ParseError:
+    """A ParseError at offset ``off`` of ``text``."""
     return ParseError(message, origin, text.count("\n", 0, off) + 1,
                       off - text.rfind("\n", 0, off), expected)
 
 
 class _Parser:
+    """A recursive descent over the token list; ``pos`` is the next token."""
+
     def __init__(self, text: str, origin: str):
         self.text = text
         self.origin = origin
-        self.kinds, self.texts = _scan(text, origin)
+        self.toks = _scan(text, origin)
         self.pos = 0
 
     def error(self, message: str, expected: str = ""):
         """Raise a ParseError at the next token."""
-        raise _error(self.text, self.origin, self.pos, message, expected)
+        raise _error(self.text, self.origin, _offset(self.text, self.pos), message, expected)
 
-    def expect(self, kind: str, production: str):
+    def expect(self, tok: str, production: str):
         pos = self.pos
-        if self.kinds[pos] != kind:
-            self.error(f"malformed {production}: got {self.texts[pos] or 'end of input'!r}",
-                       expected=kind)
+        if self.toks[pos] != tok:
+            self.error(f"malformed {production}: got {self.toks[pos] or 'end of input'!r}",
+                       expected=tok)
         self.pos = pos + 1
 
     def expect_name(self, production: str) -> str:
         pos = self.pos
-        if self.kinds[pos] != "ident":
-            self.error(f"malformed {production}: got {self.texts[pos] or 'end of input'!r}",
+        name = self.toks[pos]
+        if name in _SYMBOLS:
+            self.error(f"malformed {production}: got {name or 'end of input'!r}",
                        expected="a name")
         self.pos = pos + 1
-        return self.texts[pos]
+        return name
 
     # ---- concepts --------------------------------------------------------
 
     def concept(self):
-        c = self.and_concept()
-        while self.kinds[self.pos] == "or":
-            self.pos += 1
-            c = disj(c, self.and_concept())
-        return c
+        """One concept, ``orC`` of the grammar, read in one loop.
 
-    def and_concept(self):
-        c = self.unary_concept()
-        while self.kinds[self.pos] == "and":
-            self.pos += 1
-            c = conj(c, self.unary_concept())
-        return c
+        ``c`` is the conjunction being read and ``left`` the disjunction of
+        the conjunctions before the last "or" (None before the first), so
+        both operators associate to the left.  A concept name is read here;
+        any other unary concept goes through `unary_concept`.
+        """
+        toks = self.toks
+        pos = self.pos
+        left = c = None
+        while True:
+            tok = toks[pos]
+            if tok in _SYMBOLS:
+                self.pos = pos
+                u = self.unary_concept()
+                pos = self.pos
+            else:
+                u = atom(tok)
+                pos += 1
+            c = u if c is None else conj(c, u)
+            tok = toks[pos]
+            if tok == "and":
+                pos += 1
+            elif tok == "or":
+                pos += 1
+                left = c if left is None else disj(left, c)
+                c = None
+            else:
+                self.pos = pos
+                return c if left is None else disj(left, c)
 
     def unary_concept(self):
         pos = self.pos
-        kind = self.kinds[pos]
-        if kind == "ident":
-            self.pos = pos + 1
-            return atom(self.texts[pos])
-        if kind == "(":
+        tok = self.toks[pos]
+        if tok == "(":
             self.pos = pos + 1
             c = self.concept()
             self.expect(")", "concept")
             return c
-        if kind == "not":
+        if tok == "not":
             self.pos = pos + 1
             return neg(self.unary_concept())
-        if kind == "exists" or kind == "forall":
+        if tok == "exists" or tok == "forall":
             self.pos = pos + 1
             role = self.expect_name("role restriction")
             self.expect(".", "role restriction")
             body = self.unary_concept()
-            return exists(role, body) if kind == "exists" else forall(role, body)
-        if kind == "top":
+            return exists(role, body) if tok == "exists" else forall(role, body)
+        if tok == "top":
             self.pos = pos + 1
             return top()
-        if kind == "bot":
+        if tok == "bot":
             self.pos = pos + 1
             return bot()
-        if kind in KEYWORDS:
-            self.error(f"keyword {kind!r} cannot be used as a concept name",
+        if tok not in _SYMBOLS:
+            self.pos = pos + 1
+            return atom(tok)
+        if tok in KEYWORDS:
+            self.error(f"keyword {tok!r} cannot be used as a concept name",
                        expected="a concept")
         self.error("malformed concept", expected="a concept")
 
@@ -197,9 +239,9 @@ class _Parser:
 
     def kb(self) -> KnowledgeBase:
         tbox, abox, mbox = set(), set(), set()
-        kinds = self.kinds
-        while kinds[self.pos] != "eof":
-            section = kinds[self.pos]
+        toks = self.toks
+        pos = 0
+        while (section := toks[pos]):
             if section == "tbox":
                 read, add = self.tbox_axiom, tbox.add
             elif section == "abox":
@@ -207,43 +249,56 @@ class _Parser:
             elif section == "mbox":
                 read, add = self.mbox_axiom, mbox.add
             else:
+                self.pos = pos
                 self.error("expected a section", expected="'tbox', 'abox' or 'mbox'")
-            self.pos += 1
-            self.expect("{", f"{section} section")
-            entry = f"{section} entry"
-            while kinds[self.pos] != "}":
+            if toks[pos + 1] != "{":
+                self.pos = pos + 1
+                self.expect("{", f"{section} section")
+            pos += 2
+            while toks[pos] != "}":
+                self.pos = pos
                 add(read())
-                self.expect(";", entry)
-            self.pos += 1
+                pos = self.pos
+                if toks[pos] != ";":
+                    self.expect(";", f"{section} entry")
+                pos += 1
+            pos += 1
         return KnowledgeBase.of(tbox, abox, mbox)
 
     def tbox_axiom(self):
         lhs = self.concept()
-        kind = self.kinds[self.pos]
-        if kind == "subclassof" or kind == "equiv":
+        tok = self.toks[self.pos]
+        if tok == "subclassof" or tok == "equiv":
             self.pos += 1
             rhs = self.concept()
-            return Subsumption(lhs, rhs) if kind == "subclassof" else Equivalence(lhs, rhs)
+            return Subsumption(lhs, rhs) if tok == "subclassof" else Equivalence(lhs, rhs)
         self.error("malformed tbox axiom", expected="'subclassof' or 'equiv'")
 
     def abox_assertion(self):
-        kinds, texts, pos = self.kinds, self.texts, self.pos
-        if kinds[pos] == "ident":
-            k1 = kinds[pos + 1]
-            if k1 == "=" or k1 == "!=":
+        toks, pos = self.toks, self.pos
+        first = toks[pos]
+        if first not in _SYMBOLS:
+            t1 = toks[pos + 1]
+            if t1 == "(":
+                a, t3 = toks[pos + 2], toks[pos + 3]
+                if t3 == ")" and a not in _SYMBOLS:
+                    # A(a), the commonest entry
+                    self.pos = pos + 4
+                    return ConceptAssertion(atom(first), a)
+                if t3 == "," and a not in _PUNCTUATION:
+                    self.pos = pos + 2
+                    a = self.expect_name("role assertion")
+                    self.expect(",", "role assertion")
+                    b = self.expect_name("role assertion")
+                    self.expect(")", "role assertion")
+                    return RoleAssertion(first, a, b)
+            elif t1 == "=" or t1 == "!=":
                 self.pos = pos + 2
                 b = self.expect_name("individual equality")
-                return equal(texts[pos], b) if k1 == "=" else not_equal(texts[pos], b)
-            if k1 == "=m":
+                return equal(first, b) if t1 == "=" else not_equal(first, b)
+            elif t1 == "=m":
                 self.error("meta-modelling axioms belong in the mbox section",
                            expected="an abox assertion")
-            if k1 == "(" and kinds[pos + 2] in _WORDS and kinds[pos + 3] == ",":
-                self.pos = pos + 2
-                a = self.expect_name("role assertion")
-                self.expect(",", "role assertion")
-                b = self.expect_name("role assertion")
-                self.expect(")", "role assertion")
-                return RoleAssertion(texts[pos], a, b)
         return self.concept_assertion(self.concept())
 
     def concept_assertion(self, c):
@@ -254,14 +309,15 @@ class _Parser:
         return ConceptAssertion(c, a)
 
     def mbox_axiom(self):
-        ind = self.expect_name("mbox axiom")
+        toks, pos = self.toks, self.pos
+        ind, name = toks[pos], toks[pos + 2]
+        if toks[pos + 1] == "=m" and ind not in _SYMBOLS and name not in _SYMBOLS:
+            self.pos = pos + 3
+            return MboxAxiom(ind, name)
+        self.expect_name("mbox axiom")
         self.expect("=m", "mbox axiom")
-        pos = self.pos
-        if self.kinds[pos] != "ident":
-            self.error("mbox right-hand side must be an atomic concept name",
-                       expected="a concept name")
-        self.pos = pos + 1
-        return MboxAxiom(ind, self.texts[pos])
+        self.error("mbox right-hand side must be an atomic concept name",
+                   expected="a concept name")
 
 
 def parse_kb(text: str, origin: str = "<kb>") -> KnowledgeBase:
@@ -273,7 +329,7 @@ def parse_concept(text: str):
     their origin "query"."""
     p = _Parser(text, "query")
     c = p.concept()
-    if p.kinds[p.pos] != "eof":
+    if p.toks[p.pos]:
         p.error("trailing input after concept")
     return c
 
@@ -286,29 +342,29 @@ def parse_query(text: str):
     same text.  Errors name their origin "query".
     """
     p = _Parser(text, "query")
-    kinds = p.kinds
-    named = kinds[0] == "ident"
-    if named and kinds[1] == "=m":
+    toks = p.toks
+    named = toks[0] not in _SYMBOLS
+    if named and toks[1] == "=m":
         axiom = p.mbox_axiom()
-    elif named and kinds[1] in ("=", "!="):
+    elif named and toks[1] in ("=", "!="):
         p.pos = 2
         p.expect_name("query")  # a missing right-hand name makes the query malformed
         p.pos = 0
         axiom = p.abox_assertion()
-    elif named and kinds[1] == "(" and kinds[2] in _WORDS and kinds[3] == ",":
+    elif named and toks[1] == "(" and toks[2] not in _PUNCTUATION and toks[3] == ",":
         p.error("role assertion queries are not supported")
     else:
         c = p.concept()
-        kind = kinds[p.pos]
-        if kind == "(":
+        tok = toks[p.pos]
+        if tok == "(":
             axiom = p.concept_assertion(c)
-        elif kind == "ident" and p.texts[p.pos] == "sub":
+        elif tok == "sub":
             p.pos += 1
             axiom = Subsumption(c, p.concept())
         else:
             p.error("malformed query",
                     expected="'sub', '(individual)', '=', '!=' or '=m'")
-    if kinds[p.pos] != "eof":
+    if toks[p.pos]:
         p.error("trailing input after query")
     return axiom
 

@@ -102,11 +102,31 @@ class TestTokenizer:
         # end of input after a trailing comment is placed where the comment starts
         ("abox { A(a) # end", "malformed abox entry: got 'end of input'", 1, 13),
         ("abox { A(a); } # x\n abox { B(b)", "malformed abox entry: got 'end of input'", 2, 13),
+        # otherwise it sits after the last blank
+        ("abox { A(a)\n\n", "malformed abox entry: got 'end of input'", 3, 1),
+        ("abox { A(a)  ", "malformed abox entry: got 'end of input'", 1, 14),
+        ("abox { A(a) # end\n", "malformed abox entry: got 'end of input'", 2, 1),
+        ("\n\nabox # c\n", "malformed abox section: got 'end of input'", 4, 1),
+        # every character is checked before the descent reads an entry, so
+        # the missing ";" that comes first in the text is not the error
+        ("abox { A(a) B(b); } @", "unexpected character '@'", 1, 21),
     ])
     def test_rejected(self, text, message, line, column):
         with pytest.raises(ParseError) as e:
             parse_kb(text)
         assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+    @pytest.mark.parametrize("text, char", [
+        ("abox { ²A(a); ½B(b); }", "²"),
+        ("abox { ½A(a); ²B(b); }", "½"),
+    ])
+    def test_the_first_bad_name_start_in_text_order_is_reported(self, text, char):
+        # both pass `\w` but not `str.isalpha`; the one reported is the
+        # first in the text, never one picked by the string hash seed
+        with pytest.raises(ParseError) as e:
+            parse_kb(text)
+        assert (e.value.message, e.value.line, e.value.column) == (
+            f"unexpected character {char!r}", 1, 8)
 
     def test_m_after_equals_is_the_mbox_operator_only_before_a_non_name_character(self):
         assert parse_kb("mbox { a =m B; }").mbox == {MboxAxiom("a", "B")}
@@ -114,6 +134,24 @@ class TestTokenizer:
             parse_kb("mbox { a =mB; }")
         assert e.value.expected == "=m"
         assert parse_kb("abox { a =m½; }").abox == {Equal("a", "m½")}
+
+
+class TestEndOfInput:
+    @pytest.mark.parametrize("text, abox", [
+        ("", set()),
+        ("\n\n", set()),
+        ("# only", set()),
+        ("abox { A(a); }   \n", {ConceptAssertion(atom("A"), "a")}),
+        ("abox { A(a); }\n# end\n\n", {ConceptAssertion(atom("A"), "a")}),
+    ])
+    def test_blanks_and_comments_may_end_the_text(self, text, abox):
+        kb = parse_kb(text)
+        assert (kb.tbox, kb.abox, kb.mbox) == (set(), abox, set())
+
+    def test_blanks_may_surround_a_concept_or_a_query(self):
+        assert parse_concept(" A ") is atom("A")
+        assert parse_query("A(a)  ") == ConceptAssertion(atom("A"), "a")
+        assert parse_query("a =m A # q") == MboxAxiom("a", "A")
 
 
 class TestPrecedence:
