@@ -153,40 +153,22 @@ def _extend(j: BaseJudgement, adds) -> BaseJudgement:
     return type(j)(j.tbox, tuple(abox), j.mbox, h)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class RuleApplication:
     """One expansion: the rule, its principal assertions or names, the
-    premise and its conclusions.  Built once per expanded node, so a plain
-    slotted record; equal when every field is."""
+    premise and its conclusions.  Built once per expanded node, so a
+    slotted record whose constructor only assigns; equal when every field
+    is."""
 
-    __slots__ = ("rule", "connective", "principal", "premise", "conclusions", "added")
-
-    def __init__(self, rule: str, connective: str, principal: tuple, premise,
-                 conclusions: tuple, added: tuple = ()):
-        self.rule = rule
-        self.connective = connective  # "or" for static rules, "and" for transitional ones
-        self.principal = principal
-        self.premise = premise
-        self.conclusions = conclusions
-        # One entry per conclusion: the assertions it adds to the premise's
-        # Abox, keeping its Tbox and Mbox, or None for the merged branch of
-        # `close`.  Empty for rules whose conclusions are built another way.
-        self.added = added
-
-    def _fields(self) -> tuple:
-        return (self.rule, self.connective, self.principal, self.premise,
-                self.conclusions, self.added)
-
-    def __eq__(self, other):
-        if type(other) is not RuleApplication:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields()))
-        return f"RuleApplication({fields})"
+    rule: str
+    connective: str  # "or" for static rules, "and" for transitional ones
+    principal: tuple
+    premise: object
+    conclusions: tuple
+    # One entry per conclusion: the assertions it adds to the premise's
+    # Abox, keeping its Tbox and Mbox, or None for the merged branch of
+    # `close`.  Empty for rules whose conclusions are built another way.
+    added: tuple = ()
 
 
 # --------------------------------------------------------------------------
@@ -231,27 +213,26 @@ def circular(abox, mbox):
     """Cycle in the membership graph induced by the Abox over the Mbox domain.
 
     Nodes are the Mbox individuals; there is an edge a -> b whenever B(a) is
-    asserted and b corresponds to B.  Returns the cycle or None.  A cycle
-    needs an edge, so when no atom of an Mbox concept sits on an Mbox
+    asserted and b corresponds to B.  Returns the cycle or None.  The
+    individuals and each concept's members come from `_mbox_facts`; an Mbox
+    given as another collection than a tuple is sorted into one first.  A
+    cycle needs an edge, so when no atom of an Mbox concept sits on an Mbox
     individual this returns None before it builds the graph; the
     extraction checks call it without a test of their own.  Rule selection
-    tests for an edge first, from its label's `_mbox_facts`, and calls this
-    only when there is one.
+    tests for an edge first, from the same facts, and calls this only when
+    there is one.
     """
-    by_concept: Dict[str, List[str]] = {}
-    for m in mbox:
-        by_concept.setdefault(m.concept_name, []).append(m.individual)
-    mdom = {m.individual for m in mbox}
-    arcs = [(a.individual, bs) for a in abox
-            if type(a) is ConceptAssertion and a.individual in mdom
-            and a.concept.tag == syntax.ATOM
-            and (bs := by_concept.get(a.concept.name)) is not None]
-    if not arcs:
-        return None
-    succ: Dict[str, set] = {a: set() for a in mdom}
-    for a, bs in arcs:
-        succ[a].update(bs)
-    return find_cycle(mdom, succ)
+    if type(mbox) is not tuple:
+        mbox = tuple(sorted(mbox))
+    concept_of, members, _ = _mbox_facts(mbox)
+    succ: Dict[str, set] = {}
+    for a in abox:
+        if (type(a) is ConceptAssertion and a.individual in concept_of
+                and a.concept.tag == syntax.ATOM):
+            bs = members.get(a.concept.name)
+            if bs is not None:
+                succ.setdefault(a.individual, set()).update(bs)
+    return find_cycle(concept_of, succ) if succ else None
 
 
 def difference_witness(a_name: str, b_name: str) -> Concept:
@@ -263,21 +244,24 @@ def difference_witness(a_name: str, b_name: str) -> Concept:
 
 @lru_cache(maxsize=256)
 def _mbox_facts(mbox: tuple):
-    """What rule selection reads off a label's sorted Mbox: a dict that maps
-    each Mbox individual to the concept name of its first axiom, a dict
-    that maps each Mbox concept name to its individuals, and the first two
-    adjacent axioms on one individual, or None.
+    """What the engine and the extraction checks read off an Mbox, given
+    as a tuple in any order: a dict that maps each Mbox individual to the
+    concept name of its least axiom, a dict that maps each Mbox concept
+    name to its individuals, and the two least axioms of the first
+    individual that has two, which `eq` merges, or None.  The axioms are
+    sorted, once each, when the tuple is first met.
 
-    The result is shared by every label with an equal Mbox, so it must not
+    The result is shared by every caller with an equal Mbox, so it must not
     be mutated.
     """
+    ms = sorted(set(mbox))
     concept_of: Dict[str, str] = {}
     members: Dict[str, List[str]] = {}
-    for m in mbox:
+    for m in ms:
         concept_of.setdefault(m.individual, m.concept_name)
         members.setdefault(m.concept_name, []).append(m.individual)
-    # the Mbox is sorted, so an individual's axioms are adjacent
-    pair = next(((keep, drop) for keep, drop in zip(mbox, mbox[1:])
+    # sorted, an individual's axioms are adjacent
+    pair = next(((keep, drop) for keep, drop in zip(ms, ms[1:])
                  if keep.individual == drop.individual), None)
     return concept_of, members, pair
 
@@ -429,11 +413,19 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
 # Graph construction
 # --------------------------------------------------------------------------
 
+@dataclass
+class Marking:
+    """A consistent marking: all children of and-nodes, one child per or-node."""
+
+    nodes: set
+    choice: Dict[int, int]
+
+
 class AndOrGraph:
     """The graph `build_graph` grows: one entry per node in each list, the
     root's first.  Nodes are added by `build_graph` alone."""
 
-    __slots__ = ("nodes", "labels", "kinds", "edges", "rules", "child_ids", "root",
+    __slots__ = ("nodes", "labels", "kinds", "edges", "rules", "root",
                  "initial_merges", "unsat", "cores", "core_child", "walk")
 
     def __init__(self, root_label, initial_merges: Dict[str, str]):
@@ -441,11 +433,10 @@ class AndOrGraph:
         self.labels: List[object] = [root_label]
         # "and" | "or" | "end" (expanded, no rule applies) | "bot" | "open" (never expanded)
         self.kinds: List[str] = ["open"]
-        # Child id of each conclusion, in the rule's order.
+        # Child id of each conclusion, in the rule's order; two conclusions
+        # may be one node, as in `(A or A)(a)`.
         self.edges: List[List[int]] = [[]]
         self.rules: List[Optional[RuleApplication]] = [None]
-        # Distinct children of each node, in edge order; set when it is expanded.
-        self.child_ids: List[tuple] = [()]
         self.root = 0
         self.initial_merges = initial_merges
         # Nodes known unsat, each mapped to its rank in the order they were found.
@@ -455,10 +446,10 @@ class AndOrGraph:
         self.cores: Dict[int, frozenset] = {}
         # Or-nodes refuted by one child's core alone, mapped to that child.
         self.core_child: Dict[int, int] = {}
-        # The last marking walk of construction: the nodes it marked and the
-        # child it took at each or-node.  When the root is not unsat, this
-        # is the closed marking that decided the KB.
-        self.walk: Tuple[set, Dict[int, int]] = (set(), {})
+        # The last marking walk of construction, filled in place as it
+        # walks.  When the root is not unsat, this is the closed marking
+        # that decided the KB.
+        self.walk = Marking(set(), {})
 
     def __eq__(self, other):
         if type(other) is not AndOrGraph:
@@ -468,9 +459,11 @@ class AndOrGraph:
     __hash__ = None
 
     def children(self, nid: int) -> tuple:
-        return self.child_ids[nid]
+        """The distinct children of a node, in edge order."""
+        return tuple(dict.fromkeys(self.edges[nid]))
 
 
+@dataclass(slots=True, eq=False)
 class Root:
     """A root's parts before they are sorted into its label.
 
@@ -481,15 +474,12 @@ class Root:
     sets, already renamed by ``merged``.  A root is never mutated:
     `extend_root` shares its parts where they do not change."""
 
-    __slots__ = ("tbox", "general", "abox", "mbox", "names", "merged")
-
-    def __init__(self, tbox, general, abox, mbox, names, merged):
-        self.tbox = tbox
-        self.general = general
-        self.abox = abox
-        self.mbox = mbox
-        self.names = names
-        self.merged = merged
+    tbox: tuple
+    general: tuple
+    abox: set
+    mbox: set
+    names: set
+    merged: Dict[str, str]
 
 
 _EMPTY = frozenset()
@@ -623,10 +613,9 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     """
     g = AndOrGraph(*initialize_root(kb))
     nodes, labels, kinds, unsat = g.nodes, g.labels, g.kinds, g.unsat
-    edges_of, rules, kids, cores, core_child = (g.edges, g.rules, g.child_ids, g.cores,
-                                                g.core_child)
+    edges_of, rules, cores, core_child = g.edges, g.rules, g.cores, g.core_child
     parents: List[List[int]] = [[]]
-    marked, choice = g.walk
+    marked, choice = g.walk.nodes, g.walk.choice
     stack = [g.root]
     while True:
         # the marking walk: mark what the stack reaches, collect its open nodes
@@ -639,13 +628,13 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             kind = kinds[v]
             if kind == "or":  # the least child not known unsat
                 least = None
-                for c in kids[v]:
+                for c in edges_of[v]:
                     if c not in unsat and (least is None or c < least):
                         least = c
                 choice[v] = least
                 stack.append(least)
             elif kind == "and":
-                stack.extend(kids[v])
+                stack.extend(edges_of[v])
             elif kind == "open":
                 frontier.append(v)
         if not frontier:
@@ -672,7 +661,6 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
                     labels.append(concl)
                     edges_of.append([])
                     rules.append(None)
-                    kids.append(())
                     parents.append([])
                     if concl is ABSURDITY:
                         kinds.append("bot")
@@ -680,9 +668,8 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
                     else:
                         kinds.append("open")
                 edges.append(cid)
-            kids[v] = ks = tuple(edges) if len(edges) == 1 else tuple(dict.fromkeys(edges))
             dead = False
-            for c in ks:
+            for c in edges:
                 parents[c].append(v)
                 dead = dead or c in unsat
             if not dead:  # with no unsat child, v cannot be refuted yet
@@ -730,14 +717,14 @@ def _refuted(g: AndOrGraph, v: int):
     v's Abox.  The merged branch of `close` never qualifies, since its
     core is unsat only under the merged Mbox.
     """
-    unsat, kids = g.unsat, g.child_ids[v]
+    unsat, kids = g.unsat, g.edges[v]
     if g.kinds[v] == "and":
         dead = [c for c in kids if c in unsat]
         if not dead:
             return None
         return _trans_core(g, v, min(dead, key=unsat.__getitem__)), None
     ra = g.rules[v]
-    for c, add in zip(g.edges[v], ra.added):
+    for c, add in zip(kids, ra.added):
         if add is not None and c in unsat and g.cores[c].isdisjoint(add):
             return g.cores[c], c
     if not all(c in unsat for c in kids):
@@ -761,13 +748,13 @@ def _or_core(g: AndOrGraph, v: int) -> frozenset:
     """
     ra, j = g.rules[v], g.labels[v]
     if ra.rule == "bot3":
+        # the cycle's arcs: each B(x) whose next individual on it is a member of B
         cycle = ra.principal
-        meta: Dict[str, list] = {}
-        for m in j.mbox:
-            meta.setdefault(m.individual, []).append(m.concept_name)
-        edges = {ConceptAssertion(atom(n), x)
-                 for x, y in zip(cycle, cycle[1:] + cycle[:1]) for n in meta[y]}
-        return frozenset(edges.intersection(j.abox))
+        _, members, _ = _mbox_facts(j.mbox)
+        succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
+        return frozenset(a for a in j.abox if type(a) is ConceptAssertion
+                         and a.concept.tag == syntax.ATOM
+                         and succ.get(a.individual) in members.get(a.concept.name, ()))
     if ra.rule == "eq":
         return g.cores[g.edges[v][0]]
     core = {p for p in ra.principal if not isinstance(p, str)}
@@ -836,22 +823,15 @@ def unsat_nodes(g: AndOrGraph) -> set:
     return _unsat_with_order(g)[0]
 
 
-@dataclass
-class Marking:
-    """A consistent marking: all children of and-nodes, one child per or-node."""
-
-    nodes: frozenset
-    choice: Dict[int, int]
-
-
 def consistent_marking(g: AndOrGraph) -> Marking:
     """The marking reached from the root, taking at each or-node the least
     child id that is not in ``g.unsat``.
 
     This is the walk that decided the KB: `build_graph` stops when its walk
-    reaches no open node, and keeps that walk on the graph (``g.walk``), so
-    the marking is read off it rather than walked again.  The graph must be
-    one `build_graph` returned with its root not unsat.
+    reaches no open node, and that walk is the graph's own marking
+    (``g.walk``), filled in place as it walked, so it is returned as it
+    is.  The graph must be one `build_graph` returned with its root not
+    unsat.
 
     At a ``close`` node the choice is usually the merge branch: its
     conclusion is added to the graph before the separated one, so it gets
@@ -859,8 +839,7 @@ def consistent_marking(g: AndOrGraph) -> Marking:
     surviving child would give a legal marking; this preference only fixes
     which one.
     """
-    marked, choice = g.walk
-    return Marking(frozenset(marked), choice)
+    return g.walk
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .engine import (
     AndOrGraph,
     BaseJudgement,
     Marking,
+    _mbox_facts,
     check_consistency,
     circular,
     difference_witness,
@@ -195,7 +196,8 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
             if a.left == a.right:
                 out.append(Violation("abox-inequality", a.left))
 
-    mdom = sorted({m.individual for m in mbox})
+    concept_of, _, pair = _mbox_facts(mbox)
+    mdom = sorted(concept_of)
     for a in mdom:
         if a not in in_delta:
             out.append(Violation("mbox-domain", a))
@@ -203,11 +205,9 @@ def check_saturated(rg: RGraph, terminal: BaseJudgement) -> List[Violation]:
                    mbox)
     if cyc is not None:
         out.append(Violation("mbox-circularity", " -> ".join(cyc)))
-    concept_of: Dict[str, str] = {}
-    for m in sorted(mbox):
-        if m.individual in concept_of and concept_of[m.individual] != m.concept_name:
-            out.append(Violation("mbox-functional", m.individual))
-        concept_of.setdefault(m.individual, m.concept_name)
+    if pair is not None:  # one violation per axiom past an individual's least
+        out.extend(Violation("mbox-functional", m.individual) for m in sorted(mbox)
+                   if concept_of[m.individual] != m.concept_name)
     for i, a in enumerate(mdom):
         for b in mdom[i + 1:]:
             w = difference_witness(concept_of[a], concept_of[b])
@@ -249,13 +249,15 @@ def unfold_sets(rg: RGraph, mbox, names) -> Interpretation:
     The interpretation lists the given concept names and those of the Mbox,
     each with its holders' elements, so a name no label holds has an empty
     extension.  Requires the meta-modelling recursion to be well-founded; a
-    circular R-graph is rejected up front rather than looped on.
+    circular R-graph is rejected up front rather than looped on.  The Mbox
+    may be any collection; it is read, like the engine reads a label's,
+    through `_mbox_facts`.
     """
-    concept_of: Dict[str, str] = {}
-    for m in sorted(mbox):
-        if m.individual in concept_of and concept_of[m.individual] != m.concept_name:
-            raise ValueError(f"{m.individual} is meta-modelled twice")
-        concept_of.setdefault(m.individual, m.concept_name)
+    if type(mbox) is not tuple:
+        mbox = tuple(sorted(mbox))
+    concept_of, _, pair = _mbox_facts(mbox)
+    if pair is not None:
+        raise ValueError(f"{pair[0].individual} is meta-modelled twice")
     cyc = circular([ConceptAssertion(c, x) for x in concept_of
                     for c in rg.labels.get(x, ())], mbox)
     if cyc is not None:

@@ -288,6 +288,18 @@ class TestCircular:
         abox = {ConceptAssertion(A, "a"), ConceptAssertion(C, "b")}
         assert circular(abox, mbox) == ["a"]
 
+    @pytest.mark.parametrize("collect", [lambda ms: tuple(reversed(ms)), set, list],
+                             ids=["unsorted-tuple", "set", "list"])
+    def test_any_collection_of_mbox_axioms(self, collect):
+        # the Mbox as an unsorted tuple, a set or a list, with a cycle
+        # a0 -> a1 -> a2 -> a0 and, with A0(a2) dropped, without one
+        mbox = collect(sorted(MboxAxiom(f"a{i}", f"A{i}") for i in range(4)))
+        cyclic = [ConceptAssertion(atom("A1"), "a0"), ConceptAssertion(atom("A2"), "a1"),
+                  ConceptAssertion(atom("A0"), "a2"), ConceptAssertion(atom("A3"), "a2")]
+        acyclic = cyclic[:2] + cyclic[3:]
+        assert circular(cyclic, mbox) == reference_circular(cyclic, mbox) == ["a0", "a1", "a2"]
+        assert circular(acyclic, mbox) is reference_circular(acyclic, mbox) is None
+
     def test_cycles_of_the_slice_match_the_reference(self):
         # every label with an Mbox in the first 300 seed-20240 graphs: the
         # reference's cycle or None, and at a `bot3` node the cycle the
@@ -793,6 +805,31 @@ class TestMarking:
 
     def test_multi_pair_kbs(self):
         assert self.check_markings([parse_kb(t) for t in MULTI_PAIR_TEXTS]) == (2, 2)
+
+
+class TestDuplicateEdges:
+    """Two conclusions of one rule can be one node, so a node's edges can
+    name a child twice; the walk, the marking and unsat propagation read the
+    edges as they are, and `children` lists each child once."""
+
+    @pytest.mark.parametrize("text, kind, consistent", [
+        ("abox { (A or A)(a); }", "or", True),
+        ("abox { (exists R . A)(a); (exists S . A)(a); }", "and", True),
+        # unsat status reaches the root through the duplicated edge
+        ("abox { (A or A)(a); (not A)(a); }", "or", False),
+    ], ids=["or", "trans", "unsat"])
+    def test_a_child_named_twice(self, text, kind, consistent):
+        v = check_consistency(parse_kb(text))
+        g = v.graph
+        assert g.kinds[g.root] == kind
+        assert g.edges[g.root] == [1, 1]
+        assert g.children(g.root) == (1,)
+        assert v.consistent is consistent
+        if consistent:
+            assert v.marking == reference_marking(g)
+        else:
+            assert g.root in g.unsat and 1 in g.unsat
+        assert unsat_nodes(g) == set(g.unsat)
 
 
 @pytest.fixture(scope="module")

@@ -222,6 +222,19 @@ class TestCheckSaturated:
         terminal = make_base((), abox, {MboxAxiom("a", "A"), MboxAxiom("b", "B")})
         return check_saturated(rg, terminal)
 
+    def test_each_extra_axiom_on_an_individual_is_reported(self):
+        # a carries three axioms, b one and c two: one violation for each
+        # axiom past an individual's least, in Mbox order
+        rg = RGraph(delta=("a", "b", "c"),
+                    labels={"a": frozenset(), "b": frozenset(), "c": frozenset()},
+                    edges={})
+        mbox = [MboxAxiom("c", "F"), MboxAxiom("a", "C"), MboxAxiom("b", "D"),
+                MboxAxiom("a", "A"), MboxAxiom("c", "E"), MboxAxiom("a", "B")]
+        terminal = make_base((), (), mbox)
+        found = [v for v in check_saturated(rg, terminal) if v.condition == "mbox-functional"]
+        assert found == [("mbox-functional", "a"), ("mbox-functional", "a"),
+                         ("mbox-functional", "c")]
+
     def test_missing_difference_witness_is_reported(self):
         assert self.separated_pair(set()) == [("mbox-difference-witness", "a vs b")]
 
@@ -349,6 +362,17 @@ class TestUnfoldSets:
         rg = RGraph(delta=("a",), labels={"a": frozenset({A})}, edges={})
         with pytest.raises(ValueError, match="circular"):
             unfold_sets(rg, {MboxAxiom("a", "A")}, ())
+
+    @pytest.mark.parametrize("collect", [set, tuple, list],
+                             ids=["set", "unsorted-tuple", "list"])
+    def test_an_individual_meta_modelled_twice_is_rejected(self, collect):
+        rg = RGraph(delta=("a", "b"), labels={"a": frozenset(), "b": frozenset()}, edges={})
+        mbox = [MboxAxiom("b", "C"), MboxAxiom("a", "A"), MboxAxiom("b", "B")]
+        with pytest.raises(ValueError, match=r"^b is meta-modelled twice$"):
+            unfold_sets(rg, collect(mbox), ())
+        # one axiom given twice is one axiom
+        twice = collect([MboxAxiom("a", "A"), MboxAxiom("b", "B"), MboxAxiom("a", "A")])
+        assert set(unfold_sets(rg, twice, ()).concepts) == {"A", "B"}
 
     def test_meta_order_is_acyclic_on_extracted_graphs(self, hydro_kb):
         v = check_consistency(hydro_kb)
