@@ -608,8 +608,11 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
     ``g.walk`` keeps it for `consistent_marking`).
     Nodes never expanded keep kind "open"; ``g.unsat`` holds the propagated
     set in the order it grew, ``g.cores`` the core of each unsat node but
-    absurdity, and ``g.core_child`` the backjumps.  The node budget counts
-    the nodes built.
+    absurdity, and ``g.core_child`` each or-node refuted by one child's core
+    alone, with that child, whether or not its other children had died by
+    then.  ``--stats`` counts as backjumps only the or-nodes that died while
+    a child was live, so it reports fewer.  The node budget counts the nodes
+    built.
     """
     g = AndOrGraph(*initialize_root(kb))
     nodes, labels, kinds, unsat = g.nodes, g.labels, g.kinds, g.unsat
@@ -639,8 +642,7 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
                 frontier.append(v)
         if not frontier:
             break
-        if len(frontier) > 1:
-            frontier.sort()
+        frontier.sort()
         before = len(unsat)
         for v in frontier:
             ra = applicable_rule(labels[v])
@@ -706,8 +708,8 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
 # --------------------------------------------------------------------------
 
 def _refuted(g: AndOrGraph, v: int):
-    """None while expanded node ``v`` may be satisfiable, given ``g.unsat``;
-    else ``(core, by)``.
+    """None while expanded node ``v``, one of whose children has died, may be
+    satisfiable, given ``g.unsat``; else ``(core, by)``.
 
     ``core`` is v's core, named individuals and role successors alike.
     ``by`` is the child whose core alone refutes or-node ``v`` (a
@@ -718,11 +720,9 @@ def _refuted(g: AndOrGraph, v: int):
     core is unsat only under the merged Mbox.
     """
     unsat, kids = g.unsat, g.edges[v]
-    if g.kinds[v] == "and":
-        dead = [c for c in kids if c in unsat]
-        if not dead:
-            return None
-        return _trans_core(g, v, min(dead, key=unsat.__getitem__)), None
+    if g.kinds[v] == "and":  # the child that died first refutes it
+        first = min((c for c in kids if c in unsat), key=unsat.__getitem__)
+        return _trans_core(g, v, first), None
     ra = g.rules[v]
     for c, add in zip(kids, ra.added):
         if add is not None and c in unsat and g.cores[c].isdisjoint(add):
@@ -872,40 +872,34 @@ _BOTTOM_PREFERENCE = {"bot3": 0, "bot2": 1, "bot1": 2}
 
 
 def _refutation_trace(g: AndOrGraph):
-    """Deterministic root-to-absurdity walk through the unsat subgraph.
+    """Deterministic walk from the root through the unsat subgraph, ending
+    at the first bottom rule, whose certificate it returns.
 
-    Every step goes to a child refuted before its parent.  At an or-node
-    the walk follows the child whose core refuted it, if one did; otherwise
-    every child is unsatisfiable, and the walk defers children that die
-    immediately by a bottom rule, and when only those remain it prefers
-    circularity over self-inequality over clash, so the reported
-    certificate names the deepest obstacle rather than the first dead branch.
+    Only the bottom rules conclude absurdity, so every other node on the
+    walk was refuted by expanded children, and every step goes to a child
+    refuted before its parent.  At an or-node the walk follows the child
+    whose core refuted it, if one did; otherwise every child is unsat, and
+    the walk takes the least child not expanded by a bottom rule.  When a
+    bottom rule expanded every child, it prefers circularity over
+    self-inequality over clash, so the reported certificate names the
+    deepest obstacle rather than the first dead branch.
     """
     v = g.root
     trace = []
-    last = None
-    while g.labels[v] is not ABSURDITY:
+    while True:
         ra = g.rules[v]
         trace.append((v, ra.rule, ra.principal))
-        last = ra
-        rank = g.unsat[v]
-        kids = [c for c in g.children(v) if g.unsat.get(c, rank) < rank]
+        if ra.rule in _BOTTOM_PREFERENCE:
+            return trace, _certificate(ra)
         if v in g.core_child:
             v = g.core_child[v]
-        elif g.kinds[v] == "or":
-            bots = [c for c in kids if g.labels[c] is ABSURDITY]
-            if bots:
-                v = bots[0]
-                continue
-            deferred = [c for c in kids
-                        if g.rules[c] is not None and g.rules[c].rule not in _BOTTOM_PREFERENCE]
-            if deferred:
-                v = min(deferred)
-            else:
-                v = min(kids, key=lambda c: (_BOTTOM_PREFERENCE[g.rules[c].rule], c))
+            continue
+        rank = g.unsat[v]
+        kids = [c for c in g.edges[v] if g.unsat.get(c, rank) < rank]
+        if g.kinds[v] == "or":
+            v = min(kids, key=lambda c: (_BOTTOM_PREFERENCE.get(g.rules[c].rule, -1), c))
         else:  # and-node: follow the child that was refuted first
             v = min(kids, key=g.unsat.__getitem__)
-    return trace, _certificate(last)
 
 
 @dataclass

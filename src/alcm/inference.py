@@ -38,8 +38,11 @@ model or from a core.
 K is fixed within a session, so a query's answer never changes there.  The
 session keeps every answer, whether a model, a core or a tableau call gave
 it, in a table keyed by the query axiom, and a repeated query is one lookup
-in it: it scans no model, builds no root and matches no core.  A query
-whose tableau call runs out of the node budget keeps no answer.
+in it: it checks no names, builds no negation, scans no model, builds no
+root and matches no core.  Its names were checked when it was first
+answered on this KB; a query that names an individual the KB lacks never
+enters the table.  A query whose tableau call runs out of the node budget
+keeps no answer.
 """
 
 from __future__ import annotations
@@ -173,33 +176,24 @@ _session = _Session(None)
 _session_lock = threading.Lock()  # guards _session and the lists it holds
 
 
-def _named(axiom) -> tuple:
-    """The individuals the axiom names; a TypeError for a record no service
-    decides."""
-    t = type(axiom)
-    if t is Subsumption:
-        return ()
-    if t is ConceptAssertion or t is MboxAxiom:
-        return (axiom.individual,)
-    if t is Equal or t is NotEqual:
-        return (axiom.left, axiom.right)
-    raise TypeError(f"no entailment service for {t.__name__}")
-
-
 def _negation(axiom):
-    """The assertions and Mbox axioms that K adds to decide the axiom: its
-    negation.  The root puts the concepts into NNF."""
+    """The individuals the axiom names, and the assertions and Mbox axioms
+    that K adds to decide it: its negation.  The root puts the concepts into
+    NNF.  A TypeError for a record no service decides."""
     t = type(axiom)
     if t is Subsumption:
-        return [ConceptAssertion(conj(axiom.lhs, neg(axiom.rhs)), QUERY_FRESH)], ()
+        return (), [ConceptAssertion(conj(axiom.lhs, neg(axiom.rhs)), QUERY_FRESH)], ()
     if t is ConceptAssertion:
-        return [ConceptAssertion(neg(axiom.concept), axiom.individual)], ()
+        return ((axiom.individual,),
+                [ConceptAssertion(neg(axiom.concept), axiom.individual)], ())
     if t is Equal:
-        return [not_equal(axiom.left, axiom.right)], ()
+        return (axiom.left, axiom.right), [not_equal(axiom.left, axiom.right)], ()
     if t is NotEqual:
-        return [equal(axiom.left, axiom.right)], ()
-    return ([not_equal(axiom.individual, QUERY_FRESH)],
-            [MboxAxiom(QUERY_FRESH, axiom.concept_name)])
+        return (axiom.left, axiom.right), [equal(axiom.left, axiom.right)], ()
+    if t is MboxAxiom:
+        return ((axiom.individual,), [not_equal(axiom.individual, QUERY_FRESH)],
+                [MboxAxiom(QUERY_FRESH, axiom.concept_name)])
+    raise TypeError(f"no entailment service for {t.__name__}")
 
 
 def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -217,22 +211,22 @@ def entails(kb: KnowledgeBase, axiom, node_budget: int = DEFAULT_NODE_BUDGET) ->
     table; one whose call ran out of budget keeps no answer there, and is
     decided again when asked again.
     """
-    names = _named(axiom)
     global _session
     with _session_lock:
         same = _session.kb is kb or _session.kb == kb
         session = _session if same else _Session(kb)
+        # an answer in the table was given on this KB, so its names were checked
+        answer = session.answers.get(axiom)
+        if answer is not None:
+            return answer
+        names, abox, mbox = _negation(axiom)
         for name in names:
             if name not in session.individuals:
                 raise UnknownNameError(f"individual {name!r} does not occur in the KB")
         _session = session
-        answer = session.answers.get(axiom)
-        if answer is not None:
-            return answer
         if session.falsifies(axiom):
             session.answers[axiom] = False
             return False
-        abox, mbox = _negation(axiom)
         if session.refutes(abox, mbox):
             session.answers[axiom] = True
             return True

@@ -33,8 +33,7 @@ ROLE_NAMES = ("R", "S")
 INDIVIDUALS = ("a", "b", "c", "d")
 
 
-def random_concept(rng: random.Random, depth: int = 3,
-                   concept_names=CONCEPT_NAMES, role_names=ROLE_NAMES):
+def random_concept(rng: random.Random, depth: int = 3, concept_names=CONCEPT_NAMES):
     if depth <= 0:
         r = rng.random()
         if r < 0.9:
@@ -44,39 +43,39 @@ def random_concept(rng: random.Random, depth: int = 3,
     if r < 0.35:
         return atom(rng.choice(concept_names))
     if r < 0.50:
-        return neg(random_concept(rng, depth - 1, concept_names, role_names))
+        return neg(random_concept(rng, depth - 1, concept_names))
     if r < 0.65:
-        return conj(random_concept(rng, depth - 1, concept_names, role_names),
-                    random_concept(rng, depth - 1, concept_names, role_names))
+        return conj(random_concept(rng, depth - 1, concept_names),
+                    random_concept(rng, depth - 1, concept_names))
     if r < 0.80:
-        return disj(random_concept(rng, depth - 1, concept_names, role_names),
-                    random_concept(rng, depth - 1, concept_names, role_names))
+        return disj(random_concept(rng, depth - 1, concept_names),
+                    random_concept(rng, depth - 1, concept_names))
     if r < 0.90:
-        return exists(rng.choice(role_names),
-                      random_concept(rng, depth - 1, concept_names, role_names))
+        return exists(rng.choice(ROLE_NAMES),
+                      random_concept(rng, depth - 1, concept_names))
     if r < 0.98:
-        return forall(rng.choice(role_names),
-                      random_concept(rng, depth - 1, concept_names, role_names))
+        return forall(rng.choice(ROLE_NAMES),
+                      random_concept(rng, depth - 1, concept_names))
     return top() if rng.random() < 0.5 else bot()
 
 
-def random_kb(rng: random.Random, *, max_tbox: int = 2, max_abox: int = 5,
-              max_mbox: int = 2, depth: int = 3,
-              concept_names=CONCEPT_NAMES, role_names=ROLE_NAMES,
-              individuals=INDIVIDUALS, with_mbox: bool = True) -> KnowledgeBase:
+def random_kb(rng: random.Random, *, max_abox: int = 5, max_mbox: int = 2,
+              concept_names=CONCEPT_NAMES, individuals=INDIVIDUALS,
+              with_mbox: bool = True) -> KnowledgeBase:
+    """At most two Tbox axioms of depth two, and Abox concepts of depth three."""
     tbox = set()
-    for _ in range(rng.randint(0, max_tbox)):
-        lhs = random_concept(rng, depth - 1, concept_names, role_names)
-        rhs = random_concept(rng, depth - 1, concept_names, role_names)
+    for _ in range(rng.randint(0, 2)):
+        lhs = random_concept(rng, 2, concept_names)
+        rhs = random_concept(rng, 2, concept_names)
         tbox.add(Equivalence(lhs, rhs) if rng.random() < 0.2 else Subsumption(lhs, rhs))
     abox = set()
     for _ in range(rng.randint(1, max_abox)):
         r = rng.random()
         if r < 0.55:
-            abox.add(ConceptAssertion(random_concept(rng, depth, concept_names, role_names),
+            abox.add(ConceptAssertion(random_concept(rng, 3, concept_names),
                                       rng.choice(individuals)))
         elif r < 0.80:
-            abox.add(RoleAssertion(rng.choice(role_names),
+            abox.add(RoleAssertion(rng.choice(ROLE_NAMES),
                                    rng.choice(individuals), rng.choice(individuals)))
         elif r < 0.90:
             abox.add(equal(rng.choice(individuals), rng.choice(individuals)))

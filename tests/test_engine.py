@@ -505,18 +505,24 @@ class TestBuildGraph:
         # on purpose
         assert digests.trace_digest() == digests.TRACE_DIGEST
 
+    def test_verdicts_match_the_pinned_wide_digest(self):
+        # one digest over the traces, unsat order, cores, backjumps,
+        # markings, models, refutation traces and certificates of 4,600 KBs
+        assert digests.wide_digest() == digests.WIDE_DIGEST
+
     def test_digests_do_not_depend_on_record_addresses(self):
         # assertions hash by identity, so every set of them iterates in an
         # order set by where the records sit in memory; a child process
         # re-interns every record in four shuffled orders, and neither the
-        # traces nor the models may move
+        # traces, the models nor the wide digest may move
         out = subprocess.run(
             [sys.executable, digests.__file__, "1", "2", "3", "4"],
             check=True, capture_output=True, text=True,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(
                 [os.path.dirname(os.path.dirname(syntax.__file__)),
                  os.path.dirname(digests.__file__)])}).stdout
-        assert out.splitlines() == [f"{digests.TRACE_DIGEST} {digests.MODEL_DIGEST}"] * 4
+        assert out.splitlines() == [
+            f"{digests.TRACE_DIGEST} {digests.MODEL_DIGEST} {digests.WIDE_DIGEST}"] * 4
 
     def test_node_totals_stay_bounded(self):
         # 19,790 and 18,707 nodes while `eq` also asserted

@@ -371,7 +371,7 @@ class TestSessionRoots:
         for kb, queries in corpus_query_mix():
             session = inference._Session(kb)
             for axiom in queries:
-                abox, mbox = inference._negation(axiom)
+                _, abox, mbox = inference._negation(axiom)
                 root = session.root_of(abox, mbox)
                 assert_root_of(root, kb.extended(abox=abox, mbox=mbox))
                 total += 1
@@ -500,7 +500,7 @@ class TestSessionAgreement:
         found = {False: 0, True: 0}
         for axiom, answer in session.answers.items():
             if answer:
-                assert session.refutes(*inference._negation(axiom)), (kb, axiom)
+                assert session.refutes(*inference._negation(axiom)[1:]), (kb, axiom)
             else:
                 assert session.falsifies(axiom), (kb, axiom)
             found[answer] += 1
@@ -591,6 +591,7 @@ class TestAnswerTable:
         for name in ("falsifies", "root_of", "refutes"):
             count(inference._Session, name)
         count(inference, "check_consistency")
+        count(inference, "_negation")  # which also gives the names to check
         count(inference, "entails")  # the services call it through the module
         kb = parse_kb((ROOT / "demos" / "hydrography.alcm").read_text(encoding="utf-8"))
         battery = hydro_battery(kb, monkeypatch)
@@ -605,10 +606,22 @@ class TestAnswerTable:
         # is_meta_concept asks some queries more than once within a pass, so
         # the first pass already answers those from the table
         assert first["entails"] > len(battery)
-        assert 0 < first["falsifies"] < first["entails"]
+        # each query missing from the table is negated, then tried on the models
+        assert 0 < first["_negation"] == first["falsifies"] < first["entails"]
         for later in per_pass[1:]:
-            assert later == dict(first, falsifies=0, root_of=0, refutes=0, check_consistency=0)
+            assert later == dict(first, falsifies=0, root_of=0, refutes=0, check_consistency=0,
+                                 _negation=0)
         assert all(a == answers[0] for a in answers)
+
+    def test_a_refused_query_is_refused_every_time(self, hydro_kb):
+        # a query that names an unknown individual, or that no service
+        # decides, never enters the table
+        for axiom, error in ((ConceptAssertion(top(), "nosuch"), UnknownNameError),
+                             (RoleAssertion("R", "river", "lake"), TypeError)):
+            for _ in range(3):
+                with pytest.raises(error):
+                    entails(hydro_kb, axiom)
+                assert axiom not in inference._session.answers
 
     def test_a_query_over_budget_keeps_no_answer(self, hydro_kb, asked):
         # one entailed query and one not entailed, each first asked with a

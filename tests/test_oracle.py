@@ -5,11 +5,52 @@ import pytest
 from alcm import oracle
 from alcm.engine import check_consistency
 from alcm.errors import BudgetExceededError
+from alcm.extraction import model_from_verdict
 from alcm.parser import parse_kb
 from alcm.randomkb import corpus
+from alcm.semantics import satisfies_kb
 from alcm.syntax import atom
 
 from conftest import HYDRO_TEXT
+
+
+def witness_text(n: int) -> str:
+    """n pairwise different individuals, each meta-modelled onto its own
+    concept: `neq` gives every pair its own fresh difference witness, and
+    no one element can witness them all.  Consistent for every n."""
+    names = [f"a{i}" for i in range(1, n + 1)]
+    neqs = " ".join(f"{x} != {y};" for i, x in enumerate(names) for y in names[i + 1:])
+    mbox = " ".join(f"{x} =m C{i};" for i, x in enumerate(names, 1))
+    return f"abox {{ {neqs} }} mbox {{ {mbox} }}"
+
+
+# KBs that reach a corner of one rule, with the rule the engine must apply
+RULE_CORNERS = [pytest.param(witness_text(n), "neq", id=f"neq-witnesses-{n}")
+                for n in range(2, 6)] + [
+    # two `eq` merges on one individual, from its own Mbox axioms or
+    # through an equality
+    pytest.param("abox { A(x); not C(x); } mbox { a =m A; a =m B; a =m C; }",
+                 "eq", id="eq-twice-clash"),
+    pytest.param("abox { A(x); not D(x); } mbox { a =m A; a =m B; a =m C; }",
+                 "eq", id="eq-twice"),
+    pytest.param("abox { a = b; A(x); B(y); } mbox { a =m A; b =m B; b =m C; }",
+                 "eq", id="eq-twice-merged"),
+    # `close` whose merged branch is refuted; the separated branch lives in
+    # the first, and dies in the second, whose Tbox makes A and B equal
+    pytest.param("abox { A(c); not B(c); } mbox { a =m A; b =m B; }",
+                 "close", id="close-separated"),
+    pytest.param("tbox { A subclassof B; B subclassof A; }"
+                 " abox { C(a); not C(b); } mbox { a =m A; b =m B; }",
+                 "close", id="close-neither"),
+    # `trans'` with several universals on one role
+    pytest.param("abox { (exists R . A and forall R . B and forall R . (not B or C)"
+                 " and forall R . not C)(x); }", "trans'", id="trans-clash"),
+    pytest.param("abox { (exists R . A and forall R . B and forall R . (not A or C))(x); }",
+                 "trans'", id="trans"),
+    pytest.param("abox { (exists R . A)(x); (exists R . not A)(x); (forall R . (B or C))(x);"
+                 " (forall R . not C)(x); (forall R . not B)(x); }",
+                 "trans'", id="trans-two-successors"),
+]
 
 
 class TestInitializeForest:
@@ -120,3 +161,16 @@ class TestAgainstEngine:
             except BudgetExceededError:
                 continue
             assert e == o, kb
+
+    @pytest.mark.parametrize("text, rule", RULE_CORNERS)
+    def test_rule_corners(self, text, rule):
+        kb = parse_kb(text)
+        v = check_consistency(kb)
+        g = v.graph
+        applied = [nid for nid, ra in enumerate(g.rules) if ra is not None and ra.rule == rule]
+        assert len(applied) >= (2 if rule == "eq" else 1)
+        if rule == "close":  # the merged branch is the first child
+            assert all(g.edges[nid][0] in g.unsat for nid in applied)
+        assert v.consistent == oracle.decide(kb).consistent
+        if v.consistent:
+            assert satisfies_kb(model_from_verdict(kb, v), kb)
