@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 consistent / entailed, 1 inconsistent / not entailed,
-2 usage, input or parse error, 3 resource budget exhausted.
+2 usage, input or parse error, 3 resource budget or memory exhausted.
 """
 
 from __future__ import annotations
@@ -144,6 +144,10 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # exit 1 would read as "inconsistent": running out is a budget too
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

@@ -378,9 +378,9 @@ def applicable_rule(j: BaseJudgement) -> Optional[RuleApplication]:
         c, x = a.concept, a.individual
         have = by_ind[x]
         if c.left not in have and c.right not in have:
-            adds = ((ConceptAssertion(c.left, x),), (ConceptAssertion(c.right, x),))
+            left, right = (ConceptAssertion(c.left, x),), (ConceptAssertion(c.right, x),)
             return RuleApplication("or'", "or", (a,), j,
-                                   tuple(_extend(j, add) for add in adds), adds)
+                                   (_extend(j, left), _extend(j, right)), (left, right))
     if len(concept_of) > 1:
         neq_pairs = {(n.left, n.right) for n in neqs}
         srt = sorted(concept_of)
@@ -487,7 +487,7 @@ _EMPTY = frozenset()
 
 def empty_root(tbox) -> Root:
     """The root of a KB that has the given Tbox axioms and nothing else."""
-    t = tuple(sorted(nnf_tbox(tbox), key=assertion_key))
+    t = tuple(sorted(nnf_tbox(tbox), key=assertion_key)) if tbox else ()
     return Root(t, absorb(t)[0], _EMPTY, _EMPTY, _EMPTY, {})
 
 
@@ -509,7 +509,7 @@ def extend_root(root: Root, abox=(), mbox=()) -> Root:
     for a in abox:
         t = type(a)
         if t is ConceptAssertion:
-            c = nnf(a.concept)
+            c = a.concept.nnf_form or nnf(a.concept)
             added.add(a if c is a.concept else ConceptAssertion(c, a.individual))
             new.add(a.individual)
         elif t is RoleAssertion:
@@ -560,8 +560,10 @@ def extend_root(root: Root, abox=(), mbox=()) -> Root:
         added = rename_abox(added, merged)
         mbox = rename_mbox(mbox, merged)
         new = {merged.get(n, n) for n in new}
-    added.update([ConceptAssertion(c, a) for c in root.general for a in new])
-    added.update(abox_k)
+    if root.general:
+        added.update([ConceptAssertion(c, a) for c in root.general for a in new])
+    if abox_k:
+        added.update(abox_k)
     return Root(root.tbox, root.general, added,
                 mbox_k.union(mbox) if mbox_k else frozenset(mbox), names, merged)
 
@@ -576,10 +578,13 @@ def initialize_root(kb: KnowledgeBase):
     including individuals that occur only in merged-away equalities.
     """
     root = extend_root(empty_root(kb.tbox), kb.abox, kb.mbox)
-    rep = {n: n for n in sorted(root.names)}
-    rep.update(root.merged)
+    names = sorted(root.names)
+    rep = dict(zip(names, names))
+    if root.merged:
+        rep.update(root.merged)
+    mbox = root.mbox
     return (BaseJudgement(root.tbox, tuple(sorted(root.abox, key=assertion_key)),
-                          tuple(sorted(root.mbox))), rep)
+                          tuple(sorted(mbox, key=assertion_key)) if mbox else ()), rep)
 
 
 def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> AndOrGraph:
@@ -653,13 +658,12 @@ def build_graph(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET) -> An
             kinds[v] = "and" if ra.connective == "and" else "or"
             edges = edges_of[v]
             for concl in ra.conclusions:
-                cid = nodes.get(concl)
-                if cid is None:  # a new node, open unless it is absurdity
-                    cid = len(labels)
+                n = len(labels)
+                cid = nodes.setdefault(concl, n)  # one lookup, hit or miss
+                if cid == n:  # a new node, open unless it is absurdity
                     if cid >= node_budget:
                         raise BudgetExceededError(
                             f"node budget ({node_budget}) exhausted")
-                    nodes[concl] = cid
                     labels.append(concl)
                     edges_of.append([])
                     rules.append(None)
@@ -727,8 +731,9 @@ def _refuted(g: AndOrGraph, v: int):
     for c, add in zip(kids, ra.added):
         if add is not None and c in unsat and g.cores[c].isdisjoint(add):
             return g.cores[c], c
-    if not all(c in unsat for c in kids):
-        return None
+    for c in kids:
+        if c not in unsat:
+            return None
     return _or_core(g, v), None
 
 
@@ -927,9 +932,8 @@ def check_consistency(kb: KnowledgeBase, node_budget: int = DEFAULT_NODE_BUDGET)
     """Decide KB consistency; consistent verdicts carry a marking."""
     g = build_graph(kb, node_budget)
     if g.root not in g.unsat:
-        return Consistent(graph=g, marking=consistent_marking(g))
-    trace, cert = _refutation_trace(g)
-    return Inconsistent(graph=g, trace=trace, certificate=cert)
+        return Consistent(g, consistent_marking(g))
+    return Inconsistent(g, *_refutation_trace(g))
 
 
 # --------------------------------------------------------------------------

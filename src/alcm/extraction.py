@@ -36,6 +36,8 @@ from .syntax import (
 
 VAR_PREFIX = "y#"
 
+_NONE = frozenset()
+
 
 @dataclass
 class RGraph:
@@ -255,25 +257,29 @@ def unfold_sets(rg: RGraph, mbox, names) -> Interpretation:
     """
     if type(mbox) is not tuple:
         mbox = tuple(sorted(mbox))
-    concept_of, _, pair = _mbox_facts(mbox)
+    concept_of, members, pair = _mbox_facts(mbox)
     if pair is not None:
         raise ValueError(f"{pair[0].individual} is meta-modelled twice")
-    cyc = circular([ConceptAssertion(c, x) for x in concept_of
-                    for c in rg.labels.get(x, ())], mbox)
-    if cyc is not None:
-        raise ValueError("meta-modelling circularity: " + " -> ".join(cyc))
-
     holders = _holders(rg)
-    memo: Dict[str, object] = {}
-    elems = {x: _unfold(x, memo, concept_of, holders) for x in rg.delta}
-    concepts = {name: frozenset(map(elems.__getitem__, holders.get(name, ())))
-                for name in sorted({*names, *concept_of.values()})}
+    if concept_of:
+        # a cycle needs an edge: an Mbox individual that holds an Mbox concept
+        if any(x in concept_of for name in members for x in holders.get(name, ())):
+            cyc = circular([ConceptAssertion(c, x) for x in concept_of
+                            for c in rg.labels.get(x, ())], mbox)
+            if cyc is not None:
+                raise ValueError("meta-modelling circularity: " + " -> ".join(cyc))
+        memo: Dict[str, object] = {}
+        elems = {x: _unfold(x, memo, concept_of, holders) for x in rg.delta}
+    else:  # nothing is meta-modelled: no cycle, and every element is an atom
+        elems = {x: el_atom(x) for x in rg.delta}
+    concepts = {}
+    for name in sorted({*names, *concept_of.values()}):
+        hs = holders.get(name)
+        concepts[name] = frozenset(map(elems.__getitem__, hs)) if hs else _NONE
     roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)
              for r, ps in rg.edges.items()}
-    return Interpretation(domain=frozenset(elems.values()),
-                          concepts=concepts,
-                          roles=roles,
-                          individuals=dict(elems))
+    # elems is this call's own dict, so it becomes the individuals map
+    return Interpretation(frozenset(elems.values()), concepts, roles, elems)
 
 
 # --------------------------------------------------------------------------
@@ -293,12 +299,12 @@ def model_from_verdict(kb, verdict) -> Interpretation:
     """
     rg, terminal, merges = build_rgraph(verdict.graph, verdict.marking)
     interp = unfold_sets(rg, terminal.mbox, kb.concept_names())
-    rep = dict(verdict.graph.initial_merges)
-    for keep, drop in merges:
-        rep = {orig: (keep if r == drop else r) for orig, r in rep.items()}
     fresh = []
-    for orig in sorted(rep):
-        r = rep[orig]
+    # initial_merges lists every individual in name order; it is read, not copied
+    for orig, r in verdict.graph.initial_merges.items():
+        for keep, drop in merges:
+            if r == drop:
+                r = keep
         e = interp.individuals.get(r)
         if e is None:
             e = el_atom(r)

@@ -90,28 +90,37 @@ def bot() -> Concept:
     return _intern(BOT)
 
 
+# The constructors below look their key up first, as `_intern` would, so a
+# hit costs one dict lookup; only a miss (None: a concept is always true)
+# goes through `_intern`.
+
 def atom(name: str) -> Concept:
-    return _intern(ATOM, name=name)
+    return _table.get((ATOM, name, None, None, None, None)) or _intern(ATOM, name)
 
 
 def neg(c: Concept) -> Concept:
-    return _intern(NOT, child=c)
+    return (_table.get((NOT, None, None, None, None, c))
+            or _intern(NOT, None, None, None, None, c))
 
 
 def conj(left: Concept, right: Concept) -> Concept:
-    return _intern(AND, left=left, right=right)
+    return (_table.get((AND, None, None, left, right, None))
+            or _intern(AND, None, None, left, right))
 
 
 def disj(left: Concept, right: Concept) -> Concept:
-    return _intern(OR, left=left, right=right)
+    return (_table.get((OR, None, None, left, right, None))
+            or _intern(OR, None, None, left, right))
 
 
 def exists(role: str, c: Concept) -> Concept:
-    return _intern(EXISTS, role=role, child=c)
+    return (_table.get((EXISTS, None, role, None, None, c))
+            or _intern(EXISTS, None, role, None, None, c))
 
 
 def forall(role: str, c: Concept) -> Concept:
-    return _intern(FORALL, role=role, child=c)
+    return (_table.get((FORALL, None, role, None, None, c))
+            or _intern(FORALL, None, role, None, None, c))
 
 
 def _conj_simplified(l: Concept, r: Concept) -> Concept:
@@ -401,7 +410,14 @@ class KnowledgeBase:
 
     @classmethod
     def of(cls, tbox=(), abox=(), mbox=()) -> "KnowledgeBase":
-        return cls(frozenset(tbox), frozenset(abox), frozenset(mbox))
+        # Every parse ends here, so the fields go straight into the instance
+        # dict: the frozen __init__ would set each through object.__setattr__.
+        kb = _new_object(cls)
+        fields = kb.__dict__
+        fields["tbox"] = frozenset(tbox)
+        fields["abox"] = frozenset(abox)
+        fields["mbox"] = frozenset(mbox)
+        return kb
 
     def extended(self, tbox=(), abox=(), mbox=()) -> "KnowledgeBase":
         return KnowledgeBase(self.tbox | frozenset(tbox),

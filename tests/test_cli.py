@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import alcm
+from alcm import cli
 from alcm.cli import main
 
 from conftest import EXAMPLE_GRAPH_TEXT, HYDRO_INDIVIDUALS, HYDRO_TEXT
@@ -54,6 +55,15 @@ class TestCheck:
 
     def test_budget_exhaustion(self, hydro_file):
         assert main(["check", hydro_file, "--budget", "5"]) == 3
+
+    def test_out_of_memory_is_not_a_verdict(self, hydro_file, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "check_consistency", exhausted)
+        assert main(["check", hydro_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n" and captured.out == ""
 
     # Input errors are usage errors (2), never "inconsistent" (1).
     def test_non_utf8_file(self, tmp_path, capsys):
@@ -201,6 +211,19 @@ class TestQueries:
                 assert main(["entails", hydro_file, f"{a} =m {name}"]) == code
                 codes.add(code)
         assert codes == {0, 1}
+
+    def test_out_of_memory_is_not_an_answer(self, hydro_file, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "entails", exhausted)
+        monkeypatch.setattr(cli, "is_meta_concept", exhausted)
+        for argv in (["entails", hydro_file, "River sub Lake"],
+                     ["meta", hydro_file, "river", "River"],
+                     ["metaconcept", hydro_file, "River"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err == "error: out of memory\n" and captured.out == ""
 
     def test_query_budget_exhaustion(self, tmp_path):
         # main runs in this process, and a session may hold the core an

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from alcm import engine, oracle, syntax
+from alcm import engine, extraction, oracle, syntax
 from alcm.digraph import find_cycle
 from alcm.engine import (
     ABSURDITY,
@@ -341,6 +341,32 @@ class TestCircular:
             assert any(type(a) is ConceptAssertion and a.concept.tag == syntax.ATOM
                        and a.individual in mdom and a.concept.name in names
                        for a in abox)
+
+
+    def test_extraction_calls_it_only_on_an_edge(self, monkeypatch):
+        # `unfold_sets` looks for a membership edge among its holders, as
+        # rule selection does among its atoms, and calls `circular` only
+        # when an atom of an Mbox concept sits on an Mbox individual
+        calls = []
+
+        def spy(abox, mbox):
+            calls.append((abox, mbox))
+            return circular(abox, mbox)
+
+        monkeypatch.setattr(extraction, "circular", spy)
+        models = 0
+        kbs = corpus(seed=20240, size=300) + multi_pair_corpus(5, 100)
+        for kb in kbs:
+            v = check_consistency(kb, node_budget=50_000)
+            if v.consistent:
+                models += 1
+                extraction.model_from_verdict(kb, v)
+        assert models == 289 and len(calls) == 19
+        for abox, mbox in calls:
+            mdom = {m.individual for m in mbox}
+            names = {m.concept_name for m in mbox}
+            assert any(a.concept.tag == syntax.ATOM and a.individual in mdom
+                       and a.concept.name in names for a in abox)
 
 
 def concepts_of(j) -> set:

@@ -415,6 +415,34 @@ class TestExtractModel:
         if merges:
             assert interp.individuals["b"] is interp.individuals["a"]
 
+    @staticmethod
+    def assert_merges_left_as_found(kb) -> list:
+        """Extract a model of the consistent KB and check that the graph's
+        merge map is the same dict, in the same order, afterwards; return
+        the merges its saturation path took."""
+        v = check_consistency(kb, node_budget=50_000)
+        assert v.consistent
+        found = v.graph.initial_merges
+        before = list(found.items())
+        _, _, merges = build_rgraph(v.graph, v.marking)
+        interp = model_from_verdict(kb, v)
+        assert v.graph.initial_merges is found and list(found.items()) == before
+        assert satisfies_kb(interp, kb)
+        return merges
+
+    def test_the_merge_map_is_read_not_changed(self):
+        # a close merge on the path and an equality merged at the root
+        for text in ("mbox { a =m A; b =m A; } abox { A(c); }",
+                     "mbox { a =m A; b =m B; } abox { c = d; A(c); }"):
+            assert self.assert_merges_left_as_found(parse_kb(text)) == [("a", "b")]
+
+    def test_the_merge_map_is_read_not_changed_on_the_slice(self):
+        merged = 0
+        for kb in corpus(seed=20240, size=300):
+            if check_consistency(kb, node_budget=50_000).consistent:
+                merged += bool(self.assert_merges_left_as_found(kb))
+        assert merged == 42
+
     def test_extraction_leaves_nothing_for_the_cyclic_collector(self, hydro_kb):
         # reference counting alone frees everything extraction builds
         v = check_consistency(hydro_kb)

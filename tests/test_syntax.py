@@ -1,6 +1,7 @@
 """Concept term language: interning, NNF, subconcepts, substitution."""
 
 import copy
+import dataclasses
 import gc
 import importlib
 import pickle
@@ -20,6 +21,7 @@ from alcm.syntax import (
     ConceptAssertion,
     Equal,
     Equivalence,
+    KnowledgeBase,
     MboxAxiom,
     NotEqual,
     RoleAssertion,
@@ -74,6 +76,76 @@ class TestInterning:
     @given(concepts, concepts)
     def test_total_order(self, c, d):
         assert (c.key < d.key) or (d.key < c.key) or (c is d)
+
+
+class TestConstructors:
+    """Each constructor looks its key up in the intern table itself and
+    calls `_intern` only on a miss; either way it returns the one object
+    `_intern` keeps for those fields."""
+
+    @staticmethod
+    def calls(kind, name, role, c, d):
+        """The constructor call of one kind of concept, and its `_intern` fields."""
+        return {
+            "atom": (lambda: atom(name), (syntax.ATOM, name, None, None, None, None)),
+            "neg": (lambda: neg(c), (syntax.NOT, None, None, None, None, c)),
+            "conj": (lambda: conj(c, d), (syntax.AND, None, None, c, d, None)),
+            "disj": (lambda: disj(c, d), (syntax.OR, None, None, c, d, None)),
+            "exists": (lambda: exists(role, c), (syntax.EXISTS, None, role, None, None, c)),
+            "forall": (lambda: forall(role, c), (syntax.FORALL, None, role, None, None, c)),
+        }[kind]
+
+    @given(st.sampled_from(["atom", "neg", "conj", "disj", "exists", "forall"]),
+           names, roles, concepts, concepts, st.booleans(), st.booleans())
+    def test_a_constructor_returns_what_intern_returns(self, kind, name, role, c, d,
+                                                       first, intern_first):
+        if first:  # names no table holds yet, so the key below is new
+            name = f"N{uuid.uuid4().hex}"
+            c = syntax._intern(syntax.ATOM, f"N{uuid.uuid4().hex}")
+        make, fields = self.calls(kind, name, role, c, d)
+        if first:
+            assert fields not in syntax._table
+        else:  # every call below is a hit
+            make()
+        if intern_first:
+            made = syntax._intern(*fields)
+            assert make() is made
+        else:
+            made = make()
+            assert syntax._intern(*fields) is made
+        assert make() is made  # a hit
+        assert (made.tag, made.name, made.role, made.left, made.right, made.child) == fields
+
+
+class TestKnowledgeBaseOf:
+    """`KnowledgeBase.of` fills the frozen record without its __init__."""
+
+    @staticmethod
+    def pairs():
+        yield KnowledgeBase.of(), KnowledgeBase()
+        for kb in corpus(seed=20240, size=60):
+            t, a, m = set(kb.tbox), list(kb.abox), tuple(kb.mbox)
+            yield (KnowledgeBase.of(t, a, m),
+                   KnowledgeBase(frozenset(t), frozenset(a), frozenset(m)))
+
+    def test_it_is_the_constructed_kb(self):
+        for kb, ref in self.pairs():
+            assert type(kb) is KnowledgeBase and vars(kb) == vars(ref)
+            assert list(vars(kb)) == ["tbox", "abox", "mbox"]
+            assert kb == ref and hash(kb) == hash(ref)
+            assert pickle.dumps(kb) == pickle.dumps(ref)
+            for again in (pickle.loads(pickle.dumps(kb)), copy.copy(kb), copy.deepcopy(kb)):
+                assert again == ref and hash(again) == hash(ref)
+
+    @pytest.mark.parametrize("field", ["tbox", "abox", "mbox"])
+    def test_its_fields_cannot_be_assigned(self, field):
+        kb = KnowledgeBase.of([Subsumption(A, B)], [ConceptAssertion(A, "a")],
+                              [MboxAxiom("a", "A")])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kb, field, frozenset())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(kb, field)
+        assert getattr(kb, field)
 
 
 class TestNnf:
