@@ -36,7 +36,7 @@ from .syntax import (
 
 VAR_PREFIX = "y#"
 
-_NONE = frozenset()
+_EMPTY = frozenset()
 
 
 @dataclass
@@ -275,7 +275,7 @@ def unfold_sets(rg: RGraph, mbox, names) -> Interpretation:
     concepts = {}
     for name in sorted({*names, *concept_of.values()}):
         hs = holders.get(name)
-        concepts[name] = frozenset(map(elems.__getitem__, hs)) if hs else _NONE
+        concepts[name] = frozenset(map(elems.__getitem__, hs)) if hs else _EMPTY
     roles = {r: frozenset((elems[x], elems[y]) for (x, y) in ps)
              for r, ps in rg.edges.items()}
     # elems is this call's own dict, so it becomes the individuals map

@@ -91,8 +91,8 @@ def bot() -> Concept:
 
 
 # The constructors below look their key up first, as `_intern` would, so a
-# hit costs one dict lookup; only a miss (None: a concept is always true)
-# goes through `_intern`.
+# hit costs one dict lookup; only a miss, which `get` reports as None (a
+# concept is never false), goes through `_intern`.
 
 def atom(name: str) -> Concept:
     return _table.get((ATOM, name, None, None, None, None)) or _intern(ATOM, name)
