@@ -216,14 +216,9 @@ class _Parser:
             self.pos = pos + 1
             return neg(self.unary_concept())
         if tok == "exists" or tok == "forall":
-            toks = self.toks
-            role = toks[pos + 1]
-            if toks[pos + 2] == "." and role not in _SYMBOLS:
-                self.pos = pos + 3
-            else:
-                self.pos = pos + 1
-                self.expect_name("role restriction")
-                self.expect(".", "role restriction")
+            self.pos = pos + 1
+            role = self.expect_name("role restriction")
+            self.expect(".", "role restriction")
             body = self.unary_concept()
             return exists(role, body) if tok == "exists" else forall(role, body)
         if tok == "top":
@@ -291,10 +286,6 @@ class _Parser:
                     self.pos = pos + 4
                     return ConceptAssertion(atom(first), a)
                 if t3 == "," and a not in _PUNCTUATION:
-                    b = toks[pos + 4]
-                    if toks[pos + 5] == ")" and a not in _SYMBOLS and b not in _SYMBOLS:
-                        self.pos = pos + 6  # R(a, b)
-                        return RoleAssertion(first, a, b)
                     self.pos = pos + 2
                     a = self.expect_name("role assertion")
                     self.expect(",", "role assertion")
@@ -312,11 +303,6 @@ class _Parser:
 
     def concept_assertion(self, c):
         """The "(" IND ")" that makes concept ``c`` an assertion."""
-        toks, pos = self.toks, self.pos
-        a = toks[pos + 1]
-        if toks[pos] == "(" and toks[pos + 2] == ")" and a not in _SYMBOLS:
-            self.pos = pos + 3
-            return ConceptAssertion(c, a)
         self.expect("(", "concept assertion")
         a = self.expect_name("concept assertion")
         self.expect(")", "concept assertion")
