@@ -342,7 +342,6 @@ class TestCircular:
                        and a.individual in mdom and a.concept.name in names
                        for a in abox)
 
-
     def test_extraction_calls_it_only_on_an_edge(self, monkeypatch):
         # `unfold_sets` looks for a membership edge among its holders, as
         # rule selection does among its atoms, and calls `circular` only
